@@ -2,12 +2,14 @@
 // Closed-loop rate control: steer the codec threshold T so each processed
 // unit (frame or stripe) lands on a target bits-per-pixel or MSE budget.
 //
-// This generalizes AdaptiveThresholdController (which enforces a hard buffer
-// ceiling with hysteresis) into a setpoint tracker: the plant is the
-// engine's threshold -> rate curve, which is monotonic (raising T never
-// produces more bits, never less error), so a signed step search with
-// escalation in a constant direction and halving on reversal converges to
-// the quantization floor of the curve without oscillating.
+// A setpoint tracker, not a buffer guard: AdaptiveThresholdController keeps
+// a frame under a hard buffer ceiling and relaxes to T = 0 whenever it can,
+// while this controller holds a target (DESIGN.md "Closed-loop rate
+// control" compares the two on one sequence). The plant is the engine's
+// threshold -> rate curve, which is monotonic (raising T never produces more
+// bits, never less error), so a signed step search with escalation in a
+// constant direction and halving on reversal converges to the quantization
+// floor of the curve without oscillating.
 //
 //   achieved too high vs target  ->  move T one step toward "coarser"
 //   achieved too low  vs target  ->  move T one step toward "finer"

@@ -26,16 +26,7 @@ void check_frame(const StreamContext& ctx, const image::ImageU8& frame) {
 }  // namespace
 
 FrameServer::FrameServer(Options options)
-    : pool_([&] {
-        ShardPoolOptions pool_options;
-        pool_options.workers = options.workers;
-        pool_options.queue_capacity = options.queue_capacity;
-        pool_options.shards = options.shards;
-        pool_options.pin_threads = options.pin_threads;
-        pool_options.arena = options.arena;
-        return pool_options;
-      }()),
-      start_(std::chrono::steady_clock::now()) {}
+    : pool_(std::move(options)), start_(std::chrono::steady_clock::now()) {}
 
 FrameServer::~FrameServer() { pool_.shutdown(); }
 

@@ -17,6 +17,7 @@ std::uint64_t now_ns() {
 ShardPool::ShardPool(ShardPoolOptions options) : options_([&] {
   ShardPoolOptions o = options;
   if (o.workers == 0) o.workers = 1;
+  if (o.queue_capacity == 0) o.queue_capacity = 1;
   if (o.shards == 0) {
     o.shards = std::min(Topology::system().node_count(), o.workers);
   }
@@ -100,8 +101,6 @@ void ShardPool::rollback_in_flight() {
   swc::MutexLock lock(idle_mutex_);
   if (--in_flight_ == 0) idle_cv_.notify_all();
 }
-
-void ShardPool::finish_one() { rollback_in_flight(); }
 
 SubmitOutcome ShardPool::submit_outcome(const std::shared_ptr<Strand>& strand, Job job,
                                         SubmitPolicy policy) {
@@ -206,7 +205,7 @@ void ShardPool::run_token(Token token, std::size_t worker_slot) {
   if (token.strand == nullptr) {
     release_budget(budget_shard);
     run_job(token.job, worker_slot);
-    finish_one();
+    rollback_in_flight();
     return;
   }
 
@@ -220,7 +219,7 @@ void ShardPool::run_token(Token token, std::size_t worker_slot) {
   }
   release_budget(home);
   run_job(job, worker_slot);
-  finish_one();
+  rollback_in_flight();
 
   // Retire the token, repost it for the next inbox job, or — under a closed
   // pool, where a repost might never be picked up — drain the inbox here.
@@ -252,7 +251,7 @@ void ShardPool::run_token(Token token, std::size_t worker_slot) {
     }
     release_budget(home);
     run_job(job, worker_slot);
-    finish_one();
+    rollback_in_flight();
   }
 }
 

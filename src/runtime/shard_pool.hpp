@@ -1,5 +1,5 @@
 #pragma once
-// ShardPool: the sharded, NUMA-aware successor to ThreadPool.
+// ShardPool: the runtime's worker pool, sharded and NUMA-aware.
 //
 // Instead of one global MPMC queue feeding every worker, the pool is split
 // into K shards. Each shard owns a run queue, a slice of the workers
@@ -23,10 +23,10 @@
 // events are counted per shard for the runtime snapshot.
 //
 // Backpressure: the budget counts frames admitted to a shard but not yet
-// started. Block waits for budget, Reject fails fast with QueueFull — the
-// same SubmitPolicy/SubmitOutcome contract as ThreadPool, so a 1-shard
-// pool is behaviorally identical to the old global queue (differential-
-// tested in tests/runtime/shard_pool_test.cpp).
+// started (at least 1). Block waits for budget, Reject fails fast with
+// QueueFull; after shutdown every submission returns ShutDown. A 1-shard
+// pool is one global queue (differential-tested against a direct engine run
+// in tests/runtime/shard_pool_test.cpp).
 //
 // Shutdown: after close, queued tokens still drain — a token that runs
 // under a closed pool drains its strand's whole inbox in place instead of
@@ -46,14 +46,26 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 #include "runtime/frame_arena.hpp"
-#include "runtime/thread_pool.hpp"  // SubmitPolicy / SubmitOutcome contract
 #include "runtime/topology.hpp"
 
 namespace swc::runtime {
 
+enum class SubmitPolicy : std::uint8_t {
+  Block,   // wait for budget (backpressure)
+  Reject,  // fail fast when the budget is spent
+};
+
+// Why a submission was (not) accepted, for callers that must report the
+// cause upstream (the serve layer maps these onto wire-level responses).
+enum class SubmitOutcome : std::uint8_t {
+  Accepted,   // job enqueued
+  QueueFull,  // Reject policy and the shard's budget was spent
+  ShutDown,   // pool is shutting down; nothing will be accepted again
+};
+
 struct ShardPoolOptions {
-  std::size_t workers = 4;         // total across shards
-  std::size_t queue_capacity = 64;  // per-shard pending-frame budget
+  std::size_t workers = 4;          // total across shards; 0 means 1
+  std::size_t queue_capacity = 64;  // per-shard pending-frame budget; 0 means 1
   std::size_t shards = 0;           // 0 = auto: min(NUMA nodes, workers)
   bool pin_threads = true;          // best-effort pthread_setaffinity_np
   FrameArenaOptions arena;          // per-shard arena configuration
@@ -132,8 +144,8 @@ class ShardPool {
   [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  // Aggregate queue probes (ThreadPool-compatible): depth/capacity sum over
-  // shards, high water is the worst single shard.
+  // Aggregate queue probes: depth/capacity sum over shards, high water is
+  // the worst single shard.
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] std::size_t queue_capacity() const noexcept;
   [[nodiscard]] std::size_t queue_high_water() const;
@@ -190,8 +202,8 @@ class ShardPool {
 
   SubmitOutcome admit(Shard& shard, SubmitPolicy policy) SWC_EXCLUDES(shard.mutex);
   void release_budget(Shard& shard) SWC_EXCLUDES(shard.mutex);
+  // Drops one in-flight count: a job finished, or its admission failed.
   void rollback_in_flight() SWC_EXCLUDES(idle_mutex_);
-  void finish_one() SWC_EXCLUDES(idle_mutex_);
   void run_job(Job& job, std::size_t worker_slot);
   void run_token(Token token, std::size_t worker_slot);
   void worker_loop(std::size_t shard_index, std::size_t worker_slot);

@@ -1,6 +1,7 @@
-// Sharded-runtime suite (ctest -L shard): strand ordering, work stealing
-// under skew, arena recycling across stream lifetimes, the 1-shard
-// differential against a direct engine run, and a TSan-targeted stress
+// Sharded-runtime suite (ctest -L shard): the Block/Reject/shutdown submit
+// contract, strand ordering, work stealing under skew, arena recycling
+// across stream lifetimes, the 1-shard differential against a direct engine
+// run, stripe fan-out on a saturated pool, and a TSan-targeted stress
 // mirroring runtime_stress. CMake adds dedicated ASan/TSan entries running
 // this suite when the build is configured with -DSWC_SANITIZE.
 
@@ -9,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "image/synthetic.hpp"
 #include "runtime/frame_server.hpp"
 #include "runtime/shard_pool.hpp"
+#include "runtime/stripe.hpp"
 
 namespace swc::runtime {
 namespace {
@@ -33,6 +37,197 @@ std::uint64_t total_steals(const ShardPool& pool) {
   std::uint64_t steals = 0;
   for (const auto& s : pool.shard_stats()) steals += s.steals;
   return steals;
+}
+
+// Parks every worker on a job that blocks until the gate opens: the
+// deterministic way to saturate a pool. The jobs share the gate's state, and
+// the destructor opens the gate, so declare the gate after the pool: a test
+// that exits early then releases the workers before the pool joins them.
+class Gate {
+ public:
+  Gate() = default;
+  Gate(const Gate&) = delete;
+  Gate& operator=(const Gate&) = delete;
+  ~Gate() { open(); }
+
+  // Returns once every worker holds a gate job.
+  void park_workers(ShardPool& pool) {
+    for (std::size_t w = 0; w < pool.worker_count(); ++w) {
+      ASSERT_TRUE(pool.submit([parked = parked_, opened = opened_] {
+        ++*parked;
+        opened.wait();
+      }));
+    }
+    while (parked_->load() < pool.worker_count()) std::this_thread::yield();
+  }
+
+  void open() {
+    if (is_open_) return;
+    is_open_ = true;
+    promise_.set_value();
+  }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> opened_ = promise_.get_future().share();
+  std::shared_ptr<std::atomic<std::size_t>> parked_ =
+      std::make_shared<std::atomic<std::size_t>>(0);
+  bool is_open_ = false;
+};
+
+// Submit contract, one worker parked on a gate: the worker holds no budget,
+// so the budget counts only queued jobs.
+TEST(ShardPool, RejectFailsFastWhenBudgetIsSpent) {
+  ShardPool pool({.workers = 1, .queue_capacity = 2, .shards = 1, .pin_threads = false});
+  Gate gate;
+  gate.park_workers(pool);
+  auto strand = pool.make_strand();
+
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  EXPECT_EQ(pool.submit_outcome(strand, [] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  // Budget spent, worker busy: Reject fails without blocking, on either path.
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::QueueFull);
+  EXPECT_EQ(pool.submit_outcome(strand, [] {}, SubmitPolicy::Reject), SubmitOutcome::QueueFull);
+
+  gate.open();
+  pool.wait_idle();
+  // After draining, submissions are accepted again.
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  pool.wait_idle();
+}
+
+TEST(ShardPool, BlockWaitsForBudget) {
+  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  Gate gate;
+  gate.park_workers(pool);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit([&] { ++ran; }));  // spends the budget
+
+  std::atomic<bool> blocked_submit_returned{false};
+  std::thread producer([&] {
+    EXPECT_EQ(pool.submit_outcome([&] { ++ran; }, SubmitPolicy::Block), SubmitOutcome::Accepted);
+    blocked_submit_returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(blocked_submit_returned.load());  // backpressure is holding it
+
+  gate.open();
+  producer.join();
+  pool.wait_idle();
+  EXPECT_TRUE(blocked_submit_returned.load());
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_GE(pool.queue_high_water(), 1u);
+}
+
+TEST(ShardPool, ShutdownReleasesBlockedSubmitter) {
+  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  Gate gate;
+  gate.park_workers(pool);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit([&] { ++ran; }));  // spends the budget
+
+  std::promise<SubmitOutcome> outcome;
+  auto blocked = outcome.get_future();
+  std::thread producer(
+      [&] { outcome.set_value(pool.submit_outcome([&] { ++ran; }, SubmitPolicy::Block)); });
+  EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(20)), std::future_status::timeout);
+
+  // shutdown() joins the parked worker, so it runs on its own thread; the
+  // blocked submitter must be released while the gate is still closed.
+  std::thread closer([&] { pool.shutdown(); });
+  const bool released = blocked.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.open();
+  closer.join();
+  producer.join();
+  ASSERT_TRUE(released) << "shutdown left a Block submitter waiting for budget";
+  EXPECT_EQ(blocked.get(), SubmitOutcome::ShutDown);
+  EXPECT_EQ(ran.load(), 1);  // the accepted job drained; the refused one never ran
+}
+
+TEST(ShardPool, WaitIdleIsACompletionBarrier) {
+  ShardPool pool({.workers = 4, .queue_capacity = 16, .shards = 2, .pin_threads = false});
+  auto strand = pool.make_strand();
+  std::atomic<int> done{0};
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(pool.submit([&] { ++done; }));
+    ASSERT_TRUE(pool.submit(strand, [&] { ++done; }));
+  }
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 64);
+  const auto util = pool.worker_utilization();
+  EXPECT_EQ(util.size(), 4u);
+  for (const double u : util) {
+    EXPECT_GE(u, 0.0);
+    EXPECT_LE(u, 1.0);
+  }
+}
+
+TEST(ShardPool, SubmitAfterShutdownReturnsShutDown) {
+  ShardPool pool({.workers = 2, .queue_capacity = 4, .pin_threads = false});
+  auto strand = pool.make_strand();
+  pool.shutdown();
+  EXPECT_EQ(pool.submit_outcome([] {}), SubmitOutcome::ShutDown);
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::ShutDown);
+  EXPECT_EQ(pool.submit_outcome(strand, [] {}), SubmitOutcome::ShutDown);
+}
+
+// A budget of 0 (run_serve --queue 0) would refuse every Reject submit and
+// park every Block submit forever; the pool clamps it to 1.
+TEST(ShardPool, ZeroQueueCapacityIsClampedToOne) {
+  ShardPool pool({.workers = 1, .queue_capacity = 0, .shards = 1, .pin_threads = false});
+  EXPECT_EQ(pool.queue_capacity_per_shard(), 1u);
+  std::atomic<int> ran{0};
+  EXPECT_EQ(pool.submit_outcome([&] { ++ran; }, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+
+  std::promise<SubmitOutcome> outcome;
+  auto blocked = outcome.get_future();
+  std::thread producer(
+      [&] { outcome.set_value(pool.submit_outcome([&] { ++ran; }, SubmitPolicy::Block)); });
+  const bool returned = blocked.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!returned) pool.shutdown();  // releases the submitter, so the test fails instead of hanging
+  producer.join();
+  ASSERT_TRUE(returned) << "Block submit never got budget";
+  EXPECT_EQ(blocked.get(), SubmitOutcome::Accepted);
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 2);
+}
+
+// Stripe fan-out is caller-helping: the caller drains every stripe itself
+// when no helper runs, so a saturated pool cannot stall it. Both ways a pool
+// can be saturated: (a) the budget is spent, so every helper is refused;
+// (b) the budget is free, so the helpers are accepted but queue behind the
+// gate. Either way the call returns the T = 0 frame bit-exact before the gate
+// opens, and the late helpers in (b) then run against the heap-shared
+// progress state after the caller has returned.
+TEST(ShardPool, StripedRunCompletesWhenPoolIsSaturated) {
+  const std::size_t size = 64, window = 8;
+  const auto config = make_config(size, size, window);
+  const auto img = image::make_natural_image(size, size, {.seed = 5});
+  constexpr std::size_t kBudget = 2;
+  for (const bool budget_spent : {true, false}) {
+    SCOPED_TRACE(budget_spent ? "helpers refused" : "helpers queued behind the gate");
+    ShardPool pool(
+        {.workers = 2, .queue_capacity = kBudget, .shards = 1, .pin_threads = false});
+    Gate gate;
+    gate.park_workers(pool);
+    if (budget_spent) {
+      for (std::size_t i = 0; i < kBudget; ++i) {
+        ASSERT_TRUE(pool.submit([] {}, SubmitPolicy::Reject));
+      }
+    }
+
+    auto striped = std::async(std::launch::async,
+                              [&] { return run_compressed_striped(config, img, 8, &pool); });
+    const bool returned = striped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    const std::size_t queued = pool.queue_depth();  // exact: every worker is parked
+    gate.open();
+    const auto result = striped.get();
+    ASSERT_TRUE(returned) << "striped run waited on helpers stuck behind the gate";
+    EXPECT_EQ(queued, kBudget);  // (a) the fillers, (b) the two accepted helpers
+    EXPECT_EQ(result.reconstructed, img);
+    EXPECT_EQ(result.stats.windows_emitted(), (size - window + 1) * (size - window + 1));
+    pool.wait_idle();
+  }
 }
 
 // A stream's frames must complete in submission order even when the pool has
@@ -192,7 +387,7 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
 // TSan-targeted stress mirroring RuntimeStress.ManySmallFramesAcrossEight-
 // Workers on the sharded pool: several producers over strands on forced
 // shards, a stats poller racing the workers (shard_stats + utilization +
-// aggregate queue probes), striped submissions mixed in, and conservation
+// per-stream queue probe), striped submissions mixed in, and conservation
 // asserts at the end. No sleeps, no timing assumptions.
 TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
   constexpr std::size_t kProducers = 4;
@@ -231,7 +426,7 @@ TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
           EXPECT_LE(u, 1.0);
         }
       }
-      (void)server.queue_depth();
+      (void)server.queue_depth_for(stream_ids[0]);
       std::this_thread::yield();
     }
   });

@@ -1,7 +1,7 @@
 // Stripe-parallel correctness: halo geometry, and the headline equivalence
 // claim — a striped scan is bit-identical to the whole-frame scan at
 // threshold 0, both in the window (kernel) outputs and in the reconstructed
-// image, for any stripe count, with or without a thread pool.
+// image, for any stripe count, with or without a worker pool.
 
 #include "runtime/stripe.hpp"
 
@@ -13,7 +13,7 @@
 #include "core/streaming_engine.hpp"
 #include "image/synthetic.hpp"
 #include "kernels/kernels.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/shard_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "window/apply.hpp"
 
@@ -169,7 +169,7 @@ TEST(StripeEquivalencePooled, PooledRunMatchesSequentialRun) {
   const auto config = make_config(w, h, n, /*threshold=*/0);
   const auto img = image::make_natural_image(w, h, {.seed = 21});
 
-  ThreadPool pool(4, 16);
+  ShardPool pool({.workers = 4, .queue_capacity = 16, .pin_threads = false});
   const auto pooled = run_compressed_striped(config, img, 8, &pool);
   const auto sequential = run_compressed_striped(config, img, 8, nullptr);
 
@@ -185,7 +185,7 @@ TEST(StripeEquivalencePooled, AdversarialContentStaysExact) {
   const std::size_t w = 32, h = 28, n = 4;
   const auto config = make_config(w, h, n, /*threshold=*/0);
   const auto img = image::make_checkerboard_image(w, h, 1);
-  ThreadPool pool(3, 8);
+  ShardPool pool({.workers = 3, .queue_capacity = 8, .pin_threads = false});
   const auto striped = run_compressed_striped(config, img, 6, &pool);
   EXPECT_EQ(striped.reconstructed, img);
 }

@@ -16,6 +16,13 @@
 #include "image/rng.hpp"
 
 namespace swc::simd {
+
+// gtest prints a pointer parameter as its address, which ASLR moves on every
+// run; gtest_discover_tests bakes that text into the ctest names, so every
+// relink renamed the BatchTable cases. Print the ISA name instead. (Found by
+// ADL, so it lives in BatchKernelTable's namespace, not the unnamed one.)
+static void PrintTo(const BatchKernelTable* table, std::ostream* os) { *os << table->name; }
+
 namespace {
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
