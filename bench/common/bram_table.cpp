@@ -11,14 +11,14 @@ namespace swc::benchx {
 namespace {
 
 void run_one_set(const char* set_name, const std::vector<image::ImageU8>& images,
-                 std::size_t width, const PaperBramRow* paper_rows, std::size_t row_count) {
+                 std::size_t width, const PaperBramRow* published_rows, std::size_t row_count) {
   std::printf("--- %s ---\n", set_name);
   std::printf("%-8s | %-36s | %-12s | %-6s | %s\n", "window",
               "packed BRAMs  T=0    T=2    T=4    T=6", "mgmt PA/BE", "trad", "saving@T=0");
   std::printf("---------+--------------------------------------+--------------+--------+----------\n");
 
   for (std::size_t r = 0; r < row_count; ++r) {
-    const auto& row = paper_rows[r];
+    const auto& row = published_rows[r];
     const std::size_t n = row.window;
     const auto trad = bram::allocate_traditional({width, width, n});
 
@@ -48,7 +48,7 @@ void run_one_set(const char* set_name, const std::vector<image::ImageU8>& images
 
 }  // namespace
 
-void run_bram_table(const char* table_name, std::size_t width, const PaperBramRow* paper_rows,
+void run_bram_table(const char* table_name, std::size_t width, const PaperBramRow* published_rows,
                     std::size_t row_count) {
   print_header(table_name,
                "Proposed-architecture 18Kb BRAM usage at " + std::to_string(width) + "x" +
@@ -60,9 +60,9 @@ void run_bram_table(const char* table_name, std::size_t width, const PaperBramRo
   // are 256x256 natively, so its high-resolution runs used upscaled, nearly
   // detail-free content; the resolution-true set keeps per-pixel texture.
   run_one_set("upscaled-protocol set (matches the paper's data pipeline)",
-              eval_set_upscaled(width), width, paper_rows, row_count);
+              eval_set_upscaled(width), width, published_rows, row_count);
   run_one_set("resolution-true set (realistic sensor content at this resolution)",
-              eval_set(width), width, paper_rows, row_count);
+              eval_set(width), width, published_rows, row_count);
 
   std::printf("Packed-bit cells depend on the measured worst-case compressed stream; the\n");
   std::printf("upscaled protocol reproduces the published row-packing bands, while\n");

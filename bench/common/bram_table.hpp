@@ -16,7 +16,7 @@ struct PaperBramRow {
   std::size_t management;
 };
 
-void run_bram_table(const char* table_name, std::size_t width, const PaperBramRow* paper_rows,
+void run_bram_table(const char* table_name, std::size_t width, const PaperBramRow* published_rows,
                     std::size_t row_count);
 
 }  // namespace swc::benchx

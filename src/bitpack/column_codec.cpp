@@ -58,54 +58,34 @@ void ColumnEncoder::encode(std::span<const std::uint8_t> coeffs, const ColumnCod
   out.bitmap.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) out.bitmap[i] = kept_[i] != 0 ? 1 : 0;
 
-  // Per-coefficient widths resolved up front so the payload loop is uniform.
   // Group widths go through the batched Fig. 7 OR-bus kernel (bit-identical
   // to group_nbits — proven by the nbits and simd fuzz tests).
   const auto& kernels = simd::batch();
-  width_.assign(n, 0);
+  const auto group_field = [&](const std::uint8_t* values, std::size_t count) {
+    return static_cast<std::uint8_t>(nbits_from_or_bus(kernels.nbits_or_bus(values, count)));
+  };
   switch (config.granularity) {
-    case NBitsGranularity::PerSubBandColumn: {
-      const int top = nbits_from_or_bus(kernels.nbits_or_bus(basis.data(), half));
-      const int bot = nbits_from_or_bus(kernels.nbits_or_bus(basis.data() + half, half));
-      out.nbits.push_back(static_cast<std::uint8_t>(top));
-      out.nbits.push_back(static_cast<std::uint8_t>(bot));
+    case NBitsGranularity::PerSubBandColumn:
+      out.nbits.push_back(group_field(basis.data(), half));
+      out.nbits.push_back(group_field(basis.data() + half, half));
+      break;
+    case NBitsGranularity::PerColumn:
+      out.nbits.push_back(group_field(basis.data(), n));
+      break;
+    case NBitsGranularity::PerCoefficient:
+      // The hardware's Fig. 7 finder runs before the threshold comparator,
+      // so under PreThreshold every coefficient carries a field sized from
+      // the raw basis — including coefficients the comparator later zeroes.
       for (std::size_t i = 0; i < n; ++i) {
-        width_[i] = static_cast<std::uint8_t>(i < half ? top : bot);
-      }
-      break;
-    }
-    case NBitsGranularity::PerColumn: {
-      const int all = nbits_from_or_bus(kernels.nbits_or_bus(basis.data(), n));
-      out.nbits.push_back(static_cast<std::uint8_t>(all));
-      for (std::size_t i = 0; i < n; ++i) width_[i] = static_cast<std::uint8_t>(all);
-      break;
-    }
-    case NBitsGranularity::PerCoefficient: {
-      if (config.nbits_policy == NBitsPolicy::PreThreshold) {
-        // The hardware's Fig. 7 finder runs before the threshold comparator,
-        // so every coefficient carries a field sized from the raw basis —
-        // including coefficients the comparator later zeroes.
-        for (std::size_t i = 0; i < n; ++i) {
-          const int b = min_bits_u8(basis[i]);
-          out.nbits.push_back(static_cast<std::uint8_t>(b));
-          width_[i] = static_cast<std::uint8_t>(b);
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (out.bitmap[i]) {
-            const int b = min_bits_u8(basis[i]);
-            out.nbits.push_back(static_cast<std::uint8_t>(b));
-            width_[i] = static_cast<std::uint8_t>(b);
-          }
+        if (config.nbits_policy == NBitsPolicy::PreThreshold || out.bitmap[i]) {
+          out.nbits.push_back(static_cast<std::uint8_t>(min_bits_u8(basis[i])));
         }
       }
       break;
-    }
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out.bitmap[i]) writer_.put(kept_[i], width_[i]);
-  }
+  for_each_payload_width(out, config,
+                         [&](std::size_t i, int width) { writer_.put(kept_[i], width); });
   out.payload_bit_count = writer_.bit_count();
   writer_.finish_into(out.payload);
 }
@@ -116,31 +96,11 @@ void ColumnDecoder::decode(const EncodedColumn& enc, std::size_t coeff_count,
   if (enc.bitmap.size() != coeff_count) {
     throw std::invalid_argument("decode_column: bitmap size mismatch");
   }
-  const std::size_t half = coeff_count / 2;
-  const bool per_coeff_pre = config.granularity == NBitsGranularity::PerCoefficient &&
-                             config.nbits_policy == NBitsPolicy::PreThreshold;
   out.assign(coeff_count, 0);
   BitReader reader(enc.payload);
-  std::size_t nz_index = 0;
-  for (std::size_t i = 0; i < coeff_count; ++i) {
-    if (!enc.bitmap[i]) continue;
-    int nbits = 0;
-    switch (config.granularity) {
-      case NBitsGranularity::PerSubBandColumn:
-        nbits = enc.nbits.at(i < half ? 0 : 1);
-        break;
-      case NBitsGranularity::PerColumn:
-        nbits = enc.nbits.at(0);
-        break;
-      case NBitsGranularity::PerCoefficient:
-        // PreThreshold carries one field per coefficient (row-indexed);
-        // PostThreshold packs fields densely over the non-zero ones.
-        nbits = enc.nbits.at(per_coeff_pre ? i : nz_index);
-        break;
-    }
-    out[i] = sign_extend_u8(reader.get(nbits), nbits);
-    ++nz_index;
-  }
+  for_each_payload_width(enc, config, [&](std::size_t i, int width) {
+    out[i] = sign_extend_u8(reader.get(width), width);
+  });
 }
 
 EncodedColumn encode_column(std::span<const std::uint8_t> coeffs, const ColumnCodecConfig& config,

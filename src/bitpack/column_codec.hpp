@@ -64,9 +64,44 @@ struct EncodedColumn {
   }
 };
 
-// Reusable encoder: owns the per-column scratch (thresholded values, width
-// table, bit writer) so the steady-state encode loop performs no heap
-// allocation. One instance per thread/run; not thread-safe.
+// Calls fn(i, width) for every significant coefficient i of `enc`, in
+// packing (row) order, with the payload width its NBits field assigns. This
+// is the one mapping from a column's BitMap and NBits fields to payload
+// widths: the encoder packs with it, the decoder unpacks with it, and the
+// bit accounting (codec backends, core/accounting) splits payload with it.
+// The field a coefficient reads, by granularity:
+//   PerSubBandColumn: field 0 for the top half, field 1 for the bottom half;
+//   PerColumn:        field 0;
+//   PerCoefficient:   its row under PreThreshold (one field per row), its
+//                     non-zero ordinal under PostThreshold.
+// Fields are read with bounds checks: a field table that does not match
+// `config` throws std::out_of_range.
+template <typename Fn>
+void for_each_payload_width(const EncodedColumn& enc, const ColumnCodecConfig& config, Fn&& fn) {
+  const std::size_t n = enc.bitmap.size();
+  const bool row_indexed = config.nbits_policy == NBitsPolicy::PreThreshold;
+  std::size_t ordinal = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!enc.bitmap[i]) continue;
+    std::size_t field = 0;
+    switch (config.granularity) {
+      case NBitsGranularity::PerSubBandColumn:
+        field = i < n / 2 ? 0 : 1;
+        break;
+      case NBitsGranularity::PerColumn:
+        break;
+      case NBitsGranularity::PerCoefficient:
+        field = row_indexed ? i : ordinal;
+        break;
+    }
+    ++ordinal;
+    fn(i, static_cast<int>(enc.nbits.at(field)));
+  }
+}
+
+// Reusable encoder: owns the per-column scratch (thresholded values, bit
+// writer) so the steady-state encode loop performs no heap allocation. One
+// instance per thread/run; not thread-safe.
 class ColumnEncoder {
  public:
   // Encodes one coefficient column into `out`, reusing `out`'s buffers.
@@ -77,7 +112,6 @@ class ColumnEncoder {
 
  private:
   std::vector<std::uint8_t> kept_;
-  std::vector<std::uint8_t> width_;  // resolved payload width per coefficient
   BitWriter writer_;
 };
 

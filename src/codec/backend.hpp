@@ -114,12 +114,9 @@ class BackendRegistry {
 };
 
 namespace detail {
-// Shared column-codec plumbing: encode a coefficient column, decode it back,
-// and fold its bit accounting (payload, management, per-stream widths) into
-// `stats`. `half` is n/2; `column_is_even` selects the sub-band pair for the
-// threshold_ll knob and the PerSubBandColumn field split.
-void account_column(const bitpack::EncodedColumn& enc, const std::vector<std::uint8_t>& decoded,
-                    const bitpack::ColumnCodecConfig& config, std::size_t half,
+// Shared column-codec plumbing: fold one encoded column's bit accounting
+// (payload, management, per-stream payload widths) into `stats`.
+void account_column(const bitpack::EncodedColumn& enc, const bitpack::ColumnCodecConfig& config,
                     BandTranscodeStats& stats);
 }  // namespace detail
 

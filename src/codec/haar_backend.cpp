@@ -76,15 +76,14 @@ class HaarBackend final : public CodecBackend {
     // and account bits / per-stream occupancy from the encoded form.
     {
       telemetry::Span span(metrics, ids.decode);
-      const std::size_t half = n / 2;
       for (std::size_t j = 0; j < pairs; ++j) {
         const bitpack::EncodedColumn& enc_even = st.enc_cols[2 * j];
         const bitpack::EncodedColumn& enc_odd = st.enc_cols[2 * j + 1];
         st.decoder.decode(enc_even, n, config, st.dec_even);
         st.decoder.decode(enc_odd, n, config, st.dec_odd);
         wavelet::scatter_column_pair(st.dec_planes, j, st.dec_even.data(), st.dec_odd.data());
-        detail::account_column(enc_even, st.dec_even, config, half, stats);
-        detail::account_column(enc_odd, st.dec_odd, config, half, stats);
+        detail::account_column(enc_even, config, stats);
+        detail::account_column(enc_odd, config, stats);
       }
     }
     stats.columns = 2 * pairs;

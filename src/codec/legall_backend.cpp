@@ -273,7 +273,6 @@ class Legall53Backend final : public CodecBackend {
     // the leftmost w >> levels columns; map the threshold_ll knob onto those
     // (their top halves contain the whole LL pyramid), so lossless-LL
     // ablations keep a protected smooth band here too.
-    const std::size_t half = n / 2;
     const std::size_t ll_cols = w >> levels;
     st.enc_cols.resize(w);
     st.col.resize(n);
@@ -290,7 +289,7 @@ class Legall53Backend final : public CodecBackend {
       for (std::size_t x = 0; x < w; ++x) {
         st.decoder.decode(st.enc_cols[x], n, config, st.dec_col);
         for (std::size_t y = 0; y < n; ++y) st.recon[y * w + x] = st.dec_col[y];
-        detail::account_column(st.enc_cols[x], st.dec_col, config, half, stats);
+        detail::account_column(st.enc_cols[x], config, stats);
       }
     }
     stats.columns = w;

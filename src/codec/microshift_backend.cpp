@@ -74,7 +74,6 @@ class MicroshiftBackend final : public CodecBackend {
 
     st.enc_cols.resize(w);
     st.residuals.resize(n);
-    const std::size_t half = n / 2;
 
     // Prediction is fused with encoding and reconstruction with decoding, so
     // this backend's work lands entirely in the encode/decode stage timers
@@ -104,7 +103,7 @@ class MicroshiftBackend final : public CodecBackend {
           pred = (pred + static_cast<std::int8_t>(st.dec_col[y]) * scale) & 0xFF;
           out[y * w + x] = static_cast<std::uint8_t>(pred);
         }
-        detail::account_column(st.enc_cols[x], st.dec_col, pack, half, stats);
+        detail::account_column(st.enc_cols[x], pack, stats);
       }
     }
     stats.columns = w;

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "bitpack/nbits.hpp"
 #include "codec/builtin.hpp"
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
@@ -103,30 +102,13 @@ std::vector<std::string> BackendRegistry::names() {
 
 namespace detail {
 
-void account_column(const bitpack::EncodedColumn& enc, const std::vector<std::uint8_t>& decoded,
-                    const bitpack::ColumnCodecConfig& config, std::size_t half,
+void account_column(const bitpack::EncodedColumn& enc, const bitpack::ColumnCodecConfig& config,
                     BandTranscodeStats& stats) {
   stats.payload_bits += enc.payload_bit_count;
   stats.management_bits += enc.management_bits();
-  const std::size_t n = enc.bitmap.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!enc.bitmap[i]) continue;
-    std::size_t width = 0;
-    switch (config.granularity) {
-      case bitpack::NBitsGranularity::PerSubBandColumn:
-        width = enc.nbits.at(i < half ? 0 : 1);
-        break;
-      case bitpack::NBitsGranularity::PerColumn:
-        width = enc.nbits.at(0);
-        break;
-      case bitpack::NBitsGranularity::PerCoefficient:
-        // A significant coefficient survives thresholding unchanged, so its
-        // decoded value reproduces the packed width under either policy.
-        width = static_cast<std::size_t>(bitpack::min_bits_u8(decoded[i]));
-        break;
-    }
-    stats.stream_bits[i] += width;
-  }
+  bitpack::for_each_payload_width(enc, config, [&](std::size_t i, int width) {
+    stats.stream_bits[i] += static_cast<std::size_t>(width);
+  });
 }
 
 }  // namespace detail

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "bitpack/column_codec.hpp"
-#include "bitpack/nbits.hpp"
-#include "wavelet/haar.hpp"
+#include "wavelet/band_transform.hpp"
 
 namespace swc::core {
 namespace {
-
-using wavelet::SubBand;
 
 // Student-t 0.95 quantile (two-sided 90% CI) for small sample sizes; the
 // evaluation uses n = 10 images, so df = 9 -> 1.833.
@@ -28,121 +26,66 @@ std::size_t resolve_stride(const EngineConfig& config, std::size_t requested) {
   return std::max<std::size_t>(1, config.spec.window / 2);
 }
 
-// Accumulates one encoded column into a BandCost. `even` tells which
-// sub-band pair the column carries.
-void accumulate_column(BandCost& cost, const bitpack::EncodedColumn& enc,
-                       std::span<const std::uint8_t> kept, bool even,
-                       const bitpack::ColumnCodecConfig& codec) {
-  const std::size_t n = enc.bitmap.size();
-  const std::size_t half = n / 2;
-  cost.bitmap_bits += enc.bitmap_bits();
-  cost.nbits_bits += enc.nbits_field_bits();
-
-  // Payload split per sub-band and per stream. Re-derive each coefficient's
-  // width the same way the codec did, so the split sums to payload_bit_count.
-  const bool per_coeff_pre = codec.granularity == bitpack::NBitsGranularity::PerCoefficient &&
-                             codec.nbits_policy == bitpack::NBitsPolicy::PreThreshold;
-  std::size_t nz_index = 0;
-  std::size_t check_total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!enc.bitmap[i]) continue;
-    int width = 0;
-    switch (codec.granularity) {
-      case bitpack::NBitsGranularity::PerSubBandColumn:
-        width = enc.nbits.at(i < half ? 0 : 1);
-        break;
-      case bitpack::NBitsGranularity::PerColumn:
-        width = enc.nbits.at(0);
-        break;
-      case bitpack::NBitsGranularity::PerCoefficient:
-        // PreThreshold carries one row-indexed field per coefficient.
-        width = enc.nbits.at(per_coeff_pre ? i : nz_index);
-        break;
-    }
-    ++nz_index;
-    const SubBand band = (i < half) ? wavelet::top_band(!even) : wavelet::bottom_band(!even);
-    cost.payload_bits[static_cast<std::size_t>(band)] += static_cast<std::size_t>(width);
-    cost.stream_bits[i] += static_cast<std::size_t>(width);
-    check_total += static_cast<std::size_t>(width);
-  }
-  (void)kept;
-  if (check_total != enc.payload_bit_count) {
-    throw std::logic_error("accounting: payload split does not sum to payload size");
+void check_image(const image::ImageU8& img, const EngineConfig& config, const char* who) {
+  config.validate();
+  if (img.width() != config.spec.image_width || img.height() != config.spec.image_height) {
+    throw std::invalid_argument(std::string(who) + ": image does not match spec dimensions");
   }
 }
 
-// Zero-allocation fast path for the default (PerSubBandColumn) granularity:
-// identical results to the generic codec path (asserted by tests), but
-// computes coefficient widths inline so the full-resolution table sweeps run
-// in seconds. Handles both NBits policies and the threshold_ll knob.
-BandCost band_cost_fast(const image::ImageU8& img, std::size_t band_row,
-                        const EngineConfig& config) {
-  const auto& spec = config.spec;
-  const auto& codec = config.codec;
-  const std::size_t n = spec.window;
-  const std::size_t half = n / 2;
-  const std::size_t cols = spec.buffered_columns();
-  const int threshold = codec.threshold;
-  const bool pre = codec.nbits_policy == bitpack::NBitsPolicy::PreThreshold;
-
-  BandCost cost;
-  cost.band_row = band_row;
-  cost.stream_bits.assign(n, 0);
-  cost.bitmap_bits = cols * n;
-  cost.nbits_bits = cols * 8;
-
-  // Per-half working state: raw/kept widths and significance, in row order.
-  std::vector<std::uint8_t> even_col(n);
-  std::vector<std::uint8_t> odd_col(n);
-  std::vector<std::uint8_t> kept_even(n);
-  std::vector<std::uint8_t> kept_odd(n);
-
-  for (std::size_t x = 0; x + 1 < cols; x += 2) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const std::size_t r = band_row + 2 * k;
-      const wavelet::HaarBlockU8 c = wavelet::haar2d_forward_u8(
-          img.at(x, r), img.at(x + 1, r), img.at(x, r + 1), img.at(x + 1, r + 1));
-      even_col[k] = c.ll;
-      even_col[half + k] = c.lh;
-      odd_col[k] = c.hl;
-      odd_col[half + k] = c.hh;
+// Per-call working memory, reused across the bands of one frame: the band's
+// sub-band planes, one gathered column pair and the column encoder.
+class BandAccountant {
+ public:
+  // The band's N rows are contiguous in the row-major image, so the engine's
+  // batched band transform reads them straight from the image; the W - N
+  // buffered columns are then gathered pair by pair and encoded exactly as
+  // the haar backend does.
+  BandCost measure(const image::ImageU8& img, std::size_t band_row, const EngineConfig& config) {
+    const std::size_t n = config.spec.window;
+    const std::size_t w = config.spec.image_width;
+    BandCost cost;
+    cost.band_row = band_row;
+    cost.stream_bits.assign(n, 0);
+    wavelet::decompose_band_into(img.pixels().data() + band_row * w, n, w, planes_, scratch_);
+    even_.resize(n);
+    odd_.resize(n);
+    for (std::size_t j = 0; j < config.spec.buffered_columns() / 2; ++j) {
+      wavelet::gather_column_pair(planes_, j, even_.data(), odd_.data());
+      encoder_.encode(even_, config.codec, /*column_is_even=*/true, enc_);
+      accumulate(cost, config.codec, /*odd_column=*/false);
+      encoder_.encode(odd_, config.codec, /*column_is_even=*/false, enc_);
+      accumulate(cost, config.codec, /*odd_column=*/true);
     }
-    // Threshold (LL half of the even column may be exempt).
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool ll = i < half;
-      const bool keep_even = (ll && !codec.threshold_ll)
-                                 ? even_col[i] != 0
-                                 : bitpack::is_significant(even_col[i], threshold);
-      kept_even[i] = keep_even ? even_col[i] : 0;
-      kept_odd[i] = bitpack::is_significant(odd_col[i], threshold) ? odd_col[i] : 0;
-    }
-    auto accumulate_half = [&](const std::vector<std::uint8_t>& raw,
-                               const std::vector<std::uint8_t>& kept, std::size_t begin,
-                               SubBand band) {
-      int nbits = 1;
-      std::size_t nonzero = 0;
-      for (std::size_t i = begin; i < begin + half; ++i) {
-        const std::uint8_t basis = pre ? raw[i] : kept[i];
-        const int b = bitpack::min_bits_u8(basis);
-        if (b > nbits) nbits = b;
-        nonzero += kept[i] != 0;
-      }
-      std::size_t payload = 0;
-      for (std::size_t i = begin; i < begin + half; ++i) {
-        if (kept[i] != 0) {
-          cost.stream_bits[i] += static_cast<std::size_t>(nbits);
-          payload += static_cast<std::size_t>(nbits);
-        }
-      }
-      cost.payload_bits[static_cast<std::size_t>(band)] += payload;
-    };
-    accumulate_half(even_col, kept_even, 0, SubBand::LL);
-    accumulate_half(even_col, kept_even, half, SubBand::LH);
-    accumulate_half(odd_col, kept_odd, 0, SubBand::HL);
-    accumulate_half(odd_col, kept_odd, half, SubBand::HH);
+    return cost;
   }
-  return cost;
-}
+
+ private:
+  // Splits the encoded column's payload per sub-band and per stream.
+  void accumulate(BandCost& cost, const bitpack::ColumnCodecConfig& codec, bool odd_column) const {
+    cost.bitmap_bits += enc_.bitmap_bits();
+    cost.nbits_bits += enc_.nbits_field_bits();
+    const std::size_t half = enc_.bitmap.size() / 2;
+    const auto top = static_cast<std::size_t>(wavelet::top_band(odd_column));
+    const auto bottom = static_cast<std::size_t>(wavelet::bottom_band(odd_column));
+    std::size_t walked = 0;
+    bitpack::for_each_payload_width(enc_, codec, [&](std::size_t i, int width) {
+      const auto bits = static_cast<std::size_t>(width);
+      cost.payload_bits[i < half ? top : bottom] += bits;
+      cost.stream_bits[i] += bits;
+      walked += bits;
+    });
+    if (walked != enc_.payload_bit_count) {
+      throw std::logic_error("accounting: payload split does not sum to payload size");
+    }
+  }
+
+  wavelet::BandPlanes planes_;
+  wavelet::BandScratch scratch_;
+  std::vector<std::uint8_t> even_, odd_;
+  bitpack::ColumnEncoder encoder_;
+  bitpack::EncodedColumn enc_;
+};
 
 }  // namespace
 
@@ -154,49 +97,26 @@ std::size_t BandCost::max_stream_bits() const noexcept {
 
 BandCost compute_band_cost(const image::ImageU8& img, std::size_t band_row,
                            const EngineConfig& config) {
-  config.validate();
-  const auto& spec = config.spec;
-  if (band_row + spec.window > img.height()) {
+  check_image(img, config, "compute_band_cost");
+  if (band_row + config.spec.window > img.height()) {
     throw std::invalid_argument("compute_band_cost: band does not fit in image");
   }
-  if (config.codec.granularity == bitpack::NBitsGranularity::PerSubBandColumn) {
-    return band_cost_fast(img, band_row, config);
-  }
-  const std::size_t n = spec.window;
-  const std::size_t cols = spec.buffered_columns();
-
-  BandCost cost;
-  cost.band_row = band_row;
-  cost.stream_bits.assign(n, 0);
-
-  std::vector<std::uint8_t> c0(n);
-  std::vector<std::uint8_t> c1(n);
-  for (std::size_t x = 0; x + 1 < cols; x += 2) {
-    for (std::size_t y = 0; y < n; ++y) {
-      c0[y] = img.at(x, band_row + y);
-      c1[y] = img.at(x + 1, band_row + y);
-    }
-    const wavelet::CoeffColumnPair pair = wavelet::decompose_column_pair(c0, c1);
-    const auto enc_even = bitpack::encode_column(pair.even, config.codec, /*column_is_even=*/true);
-    const auto enc_odd = bitpack::encode_column(pair.odd, config.codec, /*column_is_even=*/false);
-    accumulate_column(cost, enc_even, pair.even, /*even=*/true, config.codec);
-    accumulate_column(cost, enc_odd, pair.odd, /*even=*/false, config.codec);
-  }
-  return cost;
+  return BandAccountant{}.measure(img, band_row, config);
 }
 
 FrameCost compute_frame_cost(const image::ImageU8& img, const EngineConfig& config,
                              std::size_t row_stride) {
-  config.validate();
+  check_image(img, config, "compute_frame_cost");
   const std::size_t stride = resolve_stride(config, row_stride);
   const std::size_t last_band = img.height() - config.spec.window;
 
+  BandAccountant accountant;
   FrameCost frame;
   double total = 0.0;
   std::size_t worst_total = 0;
   for (std::size_t r = 0;; r += stride) {
     const std::size_t band = std::min(r, last_band);
-    BandCost cost = compute_band_cost(img, band, config);
+    BandCost cost = accountant.measure(img, band, config);
     total += static_cast<double>(cost.total_bits());
     frame.worst_stream_bits = std::max(frame.worst_stream_bits, cost.max_stream_bits());
     if (cost.total_bits() > worst_total || frame.bands_evaluated == 0) {
@@ -244,13 +164,14 @@ SavingsSummary summarize_savings(std::span<const image::ImageU8> images,
 std::vector<BufferTracePoint> trace_buffer_occupancy(const image::ImageU8& img,
                                                      const EngineConfig& config,
                                                      std::size_t row_stride) {
-  config.validate();
+  check_image(img, config, "trace_buffer_occupancy");
   if (row_stride == 0) row_stride = 1;
+  BandAccountant accountant;
   std::vector<BufferTracePoint> trace;
   const std::size_t last_band = img.height() - config.spec.window;
   for (std::size_t r = 0;; r += row_stride) {
     const std::size_t band = std::min(r, last_band);
-    const BandCost cost = compute_band_cost(img, band, config);
+    const BandCost cost = accountant.measure(img, band, config);
     BufferTracePoint pt;
     pt.band_row = band;
     pt.band_bits = cost.payload_bits;

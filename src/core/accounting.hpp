@@ -47,6 +47,8 @@ struct BandCost {
 
 // Exact cost of the band whose top row is `band_row` (single-pass codec, no
 // recompression drift; the streaming engine measures the drifted variant).
+// Every function here that takes an image throws std::invalid_argument when
+// it does not match config.spec.
 [[nodiscard]] BandCost compute_band_cost(const image::ImageU8& img, std::size_t band_row,
                                          const EngineConfig& config);
 

@@ -104,7 +104,7 @@ void CompressedEngine::recompress_and_shift(const image::ImageU8& img, std::size
             st.next.begin() + static_cast<std::ptrdiff_t>((n - 1) * w));
   std::swap(st.band, st.next);
 
-  st.stats.note_row({st.tstats.payload_bits, st.tstats.management_bits});
+  st.stats.note_row(st.tstats.payload_bits, st.tstats.management_bits);
   st.stats.metrics.add(ids.codec_columns, st.tstats.columns);
   for (const auto bits : st.tstats.stream_bits) {
     st.stats.metrics.note_max(ids.stream_bits, bits);

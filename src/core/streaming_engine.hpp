@@ -63,12 +63,6 @@ class WindowView {
   std::size_t col_;
 };
 
-struct RowTransitionStats {
-  std::size_t payload_bits = 0;
-  std::size_t management_bits = 0;
-  [[nodiscard]] std::size_t total_bits() const noexcept { return payload_bits + management_bits; }
-};
-
 // Dense telemetry ids for every engine metric, interned once per process.
 // Stage timers only record when the tree is built with SWC_TELEMETRY=ON;
 // the counters and gauges are functional output and are always live.
@@ -88,12 +82,11 @@ struct EngineMetricIds {
   [[nodiscard]] static const EngineMetricIds& get();
 };
 
-// Per-run accounting: the per-row time series plus a telemetry::Snapshot
-// holding every counter/gauge/timer exactly once. The named accessors are a
-// materialized view over the snapshot under the engine.* metric names, so
-// nothing here duplicates a counter that the telemetry layer already owns.
+// Per-run accounting: a telemetry::Snapshot holding every counter/gauge/
+// timer exactly once. The named accessors are a materialized view over the
+// snapshot under the engine.* metric names, so nothing here duplicates a
+// counter that the telemetry layer already owns.
 struct RunStats {
-  std::vector<RowTransitionStats> per_row;
   telemetry::Snapshot metrics;
 
   [[nodiscard]] std::size_t windows_emitted() const {
@@ -129,22 +122,19 @@ struct RunStats {
     return static_cast<std::size_t>(metrics.sum(EngineMetricIds::get().management_bits));
   }
 
-  void note_row(const RowTransitionStats& row) {
+  // One row transition's buffer occupancy.
+  void note_row(std::size_t payload, std::size_t management) {
     const auto& ids = EngineMetricIds::get();
-    per_row.push_back(row);
     metrics.add(ids.rows, 1);
-    metrics.add(ids.payload_bits, row.payload_bits);
-    metrics.add(ids.management_bits, row.management_bits);
-    metrics.note_max(ids.row_bits, row.total_bits());
+    metrics.add(ids.payload_bits, payload);
+    metrics.add(ids.management_bits, management);
+    metrics.note_max(ids.row_bits, payload + management);
   }
 
   // Fold another run's stats into this one (stripe merging, multi-frame
-  // accumulation). Row records are concatenated in call order; counters sum
-  // and gauges take the max over both runs (cell-kind aware merge).
-  void merge(const RunStats& other) {
-    per_row.insert(per_row.end(), other.per_row.begin(), other.per_row.end());
-    metrics.merge(other.metrics);
-  }
+  // accumulation): counters sum and gauges take the max over both runs
+  // (cell-kind aware merge).
+  void merge(const RunStats& other) { metrics.merge(other.metrics); }
 };
 
 class TraditionalEngine {

@@ -12,6 +12,8 @@ namespace {
 
 constexpr std::size_t kMinClass = 4096;           // below this, pooling is noise
 constexpr std::size_t kHugeThreshold = 2u << 20;  // THP granularity
+constexpr std::size_t kMaxBuffersPerClass = 16;
+constexpr std::size_t kMaxRetainedBytes = 64ull << 20;  // total across classes
 
 // Largest power of two <= n (n >= 1).
 std::size_t floor_pow2(std::size_t n) noexcept {
@@ -20,19 +22,10 @@ std::size_t floor_pow2(std::size_t n) noexcept {
   return p;
 }
 
-}  // namespace
-
-std::size_t FrameArena::size_class(std::size_t bytes) noexcept {
-  std::size_t cls = kMinClass;
-  while (cls < bytes) cls <<= 1;
-  return cls;
-}
-
-FrameArena::FrameArena(FrameArenaOptions options) : options_(options) {}
-
-void FrameArena::advise_huge(std::vector<std::uint8_t>& buf) const {
+// Best-effort MADV_HUGEPAGE on buffers of at least kHugeThreshold.
+void advise_huge(std::vector<std::uint8_t>& buf) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
-  if (!options_.huge_pages || buf.capacity() < kHugeThreshold) return;
+  if (buf.capacity() < kHugeThreshold) return;
   const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
   if (page == 0) return;
   // vector storage is not page-aligned; advise the aligned interior range.
@@ -47,6 +40,16 @@ void FrameArena::advise_huge(std::vector<std::uint8_t>& buf) const {
   (void)buf;
 #endif
 }
+
+}  // namespace
+
+std::size_t FrameArena::size_class(std::size_t bytes) noexcept {
+  std::size_t cls = kMinClass;
+  while (cls < bytes) cls <<= 1;
+  return cls;
+}
+
+FrameArena::FrameArena(FrameArenaOptions options) : options_(options) {}
 
 std::vector<std::uint8_t> FrameArena::acquire(std::size_t bytes) {
   if (options_.enabled && bytes > 0) {
@@ -90,8 +93,8 @@ void FrameArena::recycle(std::vector<std::uint8_t> buf) {
   }
   const std::size_t cls = floor_pow2(buf.capacity());
   auto& list = classes_[cls];
-  if (list.size() >= options_.max_buffers_per_class ||
-      stats_.retained_bytes + buf.capacity() > options_.max_retained_bytes) {
+  if (list.size() >= kMaxBuffersPerClass ||
+      stats_.retained_bytes + buf.capacity() > kMaxRetainedBytes) {
     ++stats_.dropped;
     return;
   }
@@ -99,16 +102,6 @@ void FrameArena::recycle(std::vector<std::uint8_t> buf) {
   stats_.retained_bytes += buf.capacity();
   ++stats_.recycled;
   list.push_back(std::move(buf));
-}
-
-void FrameArena::trim() {
-  swc::MutexLock lock(mutex_);
-  for (auto& [cls, list] : classes_) {
-    stats_.dropped += list.size();
-    list.clear();
-  }
-  classes_.clear();
-  stats_.retained_bytes = 0;
 }
 
 FrameArenaStats FrameArena::stats() const {

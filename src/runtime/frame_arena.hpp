@@ -1,5 +1,5 @@
 #pragma once
-// FrameArena: pooled byte buffers for frame payloads and codec scratch.
+// FrameArena: pooled byte buffers for frame payloads.
 //
 // The per-frame hot path used to allocate (and fault in) a fresh pixel
 // buffer per submission; at hundreds of thousands of frames per second the
@@ -10,8 +10,9 @@
 //    comes from the smallest retained class that fits, or a fresh
 //    allocation when the freelist is dry;
 //  * recycle(buf) files the buffer back under the largest class its
-//    capacity covers, subject to per-class and total retention caps
-//    (excess buffers are released to the allocator, not hoarded).
+//    capacity covers, subject to per-class (16 buffers) and total (64 MiB)
+//    retention caps (excess buffers are released to the allocator, not
+//    hoarded).
 //
 // Each runtime shard owns one arena, so in the sharded FrameServer a
 // buffer is recycled on the shard whose workers touched it last —
@@ -34,9 +35,6 @@ namespace swc::runtime {
 
 struct FrameArenaOptions {
   bool enabled = true;  // disabled: acquire() allocates, recycle() frees
-  std::size_t max_buffers_per_class = 16;
-  std::size_t max_retained_bytes = 64ull << 20;  // total across classes
-  bool huge_pages = true;  // advise MADV_HUGEPAGE on classes >= 2 MiB
 };
 
 struct FrameArenaStats {
@@ -62,11 +60,7 @@ class FrameArena {
   // arena never produced); undersized or over-cap buffers are dropped.
   void recycle(std::vector<std::uint8_t> buf) SWC_EXCLUDES(mutex_);
 
-  // Release every retained buffer (counts them as dropped).
-  void trim() SWC_EXCLUDES(mutex_);
-
   [[nodiscard]] FrameArenaStats stats() const SWC_EXCLUDES(mutex_);
-  [[nodiscard]] const FrameArenaOptions& options() const noexcept { return options_; }
 
   // Smallest size class covering `bytes` (power of two, >= 4 KiB).
   [[nodiscard]] static std::size_t size_class(std::size_t bytes) noexcept;
@@ -77,8 +71,6 @@ class FrameArena {
   [[nodiscard]] swc::Mutex& mu() const SWC_RETURN_CAPABILITY(mutex_) { return mutex_; }
 
  private:
-  void advise_huge(std::vector<std::uint8_t>& buf) const;
-
   const FrameArenaOptions options_;
   mutable swc::Mutex mutex_;
   // class capacity -> parked buffers of at least that capacity

@@ -14,7 +14,7 @@
 // for explicit co-location) and a strand that serializes its frames, so a
 // stream's completions happen in submission order while different streams
 // run fully parallel. Idle shards steal queued work from busy ones, and
-// each shard's arena recycles frame payloads and codec scratch node-locally.
+// each shard's arena recycles frame payloads node-locally.
 //
 // Two parallelism axes compose:
 //  * stream-parallel — independent streams' frames run concurrently across

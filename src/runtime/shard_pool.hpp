@@ -5,7 +5,7 @@
 // into K shards. Each shard owns a run queue, a slice of the workers
 // (optionally pinned to one NUMA node's CPUs), a pending-frame budget that
 // implements Block/Reject backpressure, and a FrameArena for node-local
-// payload/scratch recycling. K defaults to min(NUMA nodes, workers).
+// frame-payload recycling. K defaults to min(NUMA nodes, workers).
 //
 // Ordering: streams are serialized through *strands*. A strand is an inbox
 // of jobs plus an "active" flag; at most one runnable token per strand
@@ -163,8 +163,9 @@ class ShardPool {
 
   [[nodiscard]] std::vector<ShardStatsSnapshot> shard_stats() const;
 
-  // The shard's payload/scratch arena (thread-safe; valid for the pool's
-  // lifetime).
+  // The shard's frame-payload arena (thread-safe; valid for the pool's
+  // lifetime). Codec scratch is not pooled here: each stream reuses its own
+  // CompressedEngine::Scratch.
   [[nodiscard]] FrameArena& arena(std::size_t shard) { return shards_[shard]->arena; }
 
  private:

@@ -137,11 +137,6 @@ class StreamContext {
     return frames_submitted_++;
   }
 
-  void note_rejected() SWC_EXCLUDES(mutex_) {
-    swc::MutexLock lock(mutex_);
-    ++frames_rejected_;
-  }
-
   // Converts an optimistic note_submitted() into a rejection when the queue
   // refused the frame.
   void note_submit_failed() SWC_EXCLUDES(mutex_) {

@@ -23,8 +23,8 @@
 // Merging. Reconstructed rows are taken from the stripe that owns the
 // matching output row (the last stripe also contributes the final N - 1
 // tail rows it flushes); RunStats are folded stripe-by-stripe in order:
-// per-row records concatenate, peaks take the max, window counts add up to
-// exactly the whole-frame count.
+// counters add up, peaks take the max, and window counts add up to exactly
+// the whole-frame count.
 
 #include <atomic>
 #include <cstddef>

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bitpack/nbits.hpp"
 #include "core/config.hpp"
 #include "core/streaming_engine.hpp"
 #include "image/metrics.hpp"
@@ -92,6 +94,56 @@ TEST(BackendRegistry, HaarBackendMatchesInlineLegacyPipeline) {
 
       const auto got = transcode(*backend, band, n, w, codec);
       EXPECT_EQ(got, expected) << "t=" << t;
+    }
+  }
+}
+
+TEST(BackendRegistry, HaarStreamBitsPartitionPayloadAcrossGranularities) {
+  // The per-stream split sums to the payload at every granularity x policy.
+  // At PerCoefficient each stream's bits must also equal the widths of that
+  // row's decoded significant coefficients, summed over columns: an oracle
+  // that does not depend on how the NBits fields are indexed.
+  const std::size_t n = 8;
+  const std::size_t w = 64;
+  const auto backend = BackendRegistry::make("haar");
+  const auto band = make_band(n, w, 41);
+  for (const auto granularity :
+       {bitpack::NBitsGranularity::PerSubBandColumn, bitpack::NBitsGranularity::PerColumn,
+        bitpack::NBitsGranularity::PerCoefficient}) {
+    for (const auto policy :
+         {bitpack::NBitsPolicy::PostThreshold, bitpack::NBitsPolicy::PreThreshold}) {
+      bitpack::ColumnCodecConfig codec;
+      codec.threshold = 2;
+      codec.granularity = granularity;
+      codec.nbits_policy = policy;
+      BandTranscodeStats stats;
+      (void)transcode(*backend, band, n, w, codec, &stats);
+      const auto label = "granularity=" + std::to_string(static_cast<int>(granularity)) +
+                         " policy=" + std::to_string(static_cast<int>(policy));
+
+      std::size_t stream_sum = 0;
+      for (const auto bits : stats.stream_bits) stream_sum += bits;
+      EXPECT_EQ(stream_sum, stats.payload_bits) << label;
+      if (granularity != bitpack::NBitsGranularity::PerCoefficient) continue;
+
+      wavelet::BandPlanes planes;
+      wavelet::BandScratch scratch;
+      wavelet::decompose_band_into(band.data(), n, w, planes, scratch);
+      std::vector<std::size_t> value_widths(n, 0);
+      std::vector<std::uint8_t> even(n), odd(n);
+      for (std::size_t j = 0; j < w / 2; ++j) {
+        wavelet::gather_column_pair(planes, j, even.data(), odd.data());
+        for (const bool is_even : {true, false}) {
+          const auto enc = bitpack::encode_column(is_even ? even : odd, codec, is_even);
+          const auto decoded = bitpack::decode_column(enc, n, codec);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (enc.bitmap[i]) {
+              value_widths[i] += static_cast<std::size_t>(bitpack::min_bits_u8(decoded[i]));
+            }
+          }
+        }
+      }
+      EXPECT_EQ(stats.stream_bits, value_widths) << label;
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bitpack/column_codec.hpp"
+#include "bitpack/nbits.hpp"
 #include "image/synthetic.hpp"
 #include "wavelet/column_decomposer.hpp"
 
@@ -98,6 +102,24 @@ TEST(Accounting, BandOutOfRangeThrows) {
   EXPECT_NO_THROW((void)compute_band_cost(img, 24, config));
 }
 
+TEST(Accounting, ImageSpecMismatchThrows) {
+  // The band walk reads spec.image_width pixels per row: a narrower image
+  // would be read past its end, and a wider or taller one measured as if it
+  // were a different frame.
+  const auto config = make_config(128, 32, 8);
+  const std::vector<image::ImageU8> mismatched = {image::make_natural_image(64, 32),
+                                                  image::make_natural_image(256, 32),
+                                                  image::make_natural_image(128, 40)};
+  for (const auto& img : mismatched) {
+    const auto label = std::to_string(img.width()) + "x" + std::to_string(img.height());
+    EXPECT_THROW((void)compute_band_cost(img, 0, config), std::invalid_argument) << label;
+    EXPECT_THROW((void)compute_frame_cost(img, config), std::invalid_argument) << label;
+    EXPECT_THROW((void)trace_buffer_occupancy(img, config), std::invalid_argument) << label;
+    EXPECT_THROW((void)summarize_savings({&img, 1}, config), std::invalid_argument) << label;
+  }
+  EXPECT_NO_THROW((void)compute_band_cost(image::make_natural_image(128, 32), 0, config));
+}
+
 TEST(Accounting, SummaryStatisticsAreCoherent) {
   const auto images = image::make_places_like_set(64, 64, 6);
   const auto config = make_config(64, 64, 8);
@@ -142,9 +164,9 @@ TEST(Accounting, LLBandDominatesOnNaturalImages) {
 }
 
 TEST(Accounting, FastPathMatchesGenericCodecReference) {
-  // compute_band_cost uses a zero-allocation fast path for the default
-  // granularity; verify it against a reference built directly from the
-  // generic column codec, across thresholds and both NBits policies.
+  // compute_band_cost runs the engine's batched band transform; verify it
+  // against a reference built from the per-column-pair decomposer and the
+  // one-shot column codec, across thresholds and both NBits policies.
   const auto img = image::make_natural_image(96, 48, {.seed = 77});
   for (const int t : {0, 2, 6}) {
     for (const auto policy :
@@ -197,6 +219,9 @@ TEST(Accounting, AccountedBitsMatchPackedBitsAcrossFullMatrix) {
           std::size_t packed_payload = 0;
           std::size_t packed_mgmt = 0;
           std::size_t packed_total = 0;
+          // Per-coefficient oracle: a significant coefficient's field is
+          // min_bits_u8 of its value, which the decoder returns unchanged.
+          std::vector<std::size_t> value_widths(8, 0);
           std::vector<std::uint8_t> c0(8), c1(8);
           for (std::size_t x = 0; x + 1 < config.spec.buffered_columns(); x += 2) {
             for (std::size_t y = 0; y < 8; ++y) {
@@ -209,6 +234,14 @@ TEST(Accounting, AccountedBitsMatchPackedBitsAcrossFullMatrix) {
             packed_payload += enc_even.payload_bit_count + enc_odd.payload_bit_count;
             packed_mgmt += enc_even.management_bits() + enc_odd.management_bits();
             packed_total += enc_even.total_bits() + enc_odd.total_bits();
+            for (const auto* enc : {&enc_even, &enc_odd}) {
+              const auto decoded = bitpack::decode_column(*enc, 8, config.codec);
+              for (std::size_t i = 0; i < 8; ++i) {
+                if (enc->bitmap[i]) {
+                  value_widths[i] += static_cast<std::size_t>(bitpack::min_bits_u8(decoded[i]));
+                }
+              }
+            }
           }
           const auto label = [&] {
             return "granularity=" + std::to_string(static_cast<int>(granularity)) +
@@ -218,6 +251,16 @@ TEST(Accounting, AccountedBitsMatchPackedBitsAcrossFullMatrix) {
           EXPECT_EQ(cost.payload_total(), packed_payload) << label;
           EXPECT_EQ(cost.management_total(), packed_mgmt) << label;
           EXPECT_EQ(cost.total_bits(), packed_total) << label;
+          // The per-stream and per-sub-band splits each partition the payload.
+          std::size_t stream_sum = 0;
+          for (const auto bits : cost.stream_bits) stream_sum += bits;
+          const std::size_t band_sum = cost.payload_bits[0] + cost.payload_bits[1] +
+                                       cost.payload_bits[2] + cost.payload_bits[3];
+          EXPECT_EQ(stream_sum, packed_payload) << label;
+          EXPECT_EQ(band_sum, packed_payload) << label;
+          if (granularity == bitpack::NBitsGranularity::PerCoefficient) {
+            EXPECT_EQ(cost.stream_bits, value_widths) << label;
+          }
         }
       }
     }

@@ -103,7 +103,7 @@ TEST(StreamingEngine, StatsRecordOneTransitionPerInteriorRow) {
   const auto img = image::make_natural_image(32, 20);
   CompressedEngine engine(make_config(32, 20, 4, 0));
   engine.run(img, [](std::size_t, std::size_t, const WindowView&) {});
-  EXPECT_EQ(engine.stats().per_row.size(), 20u - 4u);
+  EXPECT_EQ(engine.stats().metrics.sum(EngineMetricIds::get().rows), 20u - 4u);
   EXPECT_GT(engine.stats().max_stream_bits(), 0u);
   EXPECT_GT(engine.stats().max_row_bits(), 0u);
   EXPECT_EQ(engine.stats().windows_emitted(), (32u - 4u + 1u) * (20u - 4u + 1u));

@@ -96,9 +96,9 @@ TEST(StripeMerge, TelemetryFoldMatchesWholeFrameForSingleStripe) {
 TEST(StripeMerge, FoldedTelemetryStaysConsistentAcrossStripeCounts) {
   // Multi-stripe runs perform fewer row transitions than the whole-frame
   // scan (each stripe re-reads its halo from the source image), so payload
-  // counters legitimately shrink — but the merged snapshot must stay
-  // internally consistent with the concatenated per-row records, and the
-  // window cover is invariant.
+  // counters legitimately shrink — but the merged snapshot must equal the
+  // fold of each stripe's standalone engine run, and the window cover is
+  // invariant.
   const auto config = make_config(48, 40, 8);
   const auto img = image::make_natural_image(48, 40, {.seed = 17});
   const std::size_t expected_windows = (48 - 8 + 1) * (40 - 8 + 1);
@@ -108,13 +108,18 @@ TEST(StripeMerge, FoldedTelemetryStaysConsistentAcrossStripeCounts) {
     const auto result = run_compressed_striped(config, img, stripes, nullptr);
     const auto& m = result.stats.metrics;
     EXPECT_EQ(m.sum(ids.windows), expected_windows) << stripes << " stripes";
-    EXPECT_EQ(m.sum(ids.rows), result.stats.per_row.size()) << stripes << " stripes";
-    std::uint64_t payload = 0, management = 0, row_hw = 0;
-    for (const auto& row : result.stats.per_row) {
-      payload += row.payload_bits;
-      management += row.management_bits;
-      row_hw = std::max<std::uint64_t>(row_hw, row.total_bits());
+    std::uint64_t rows = 0, payload = 0, management = 0, row_hw = 0;
+    for (const Stripe& s : plan_stripes(config.spec, stripes)) {
+      core::EngineConfig local = config;
+      local.spec.image_height = s.input_rows;
+      const auto part = core::CompressedEngine(local).run_reentrant(
+          extract_stripe(img, s), [](std::size_t, std::size_t, const core::WindowView&) {});
+      rows += part.stats.metrics.sum(ids.rows);
+      payload += part.stats.metrics.sum(ids.payload_bits);
+      management += part.stats.metrics.sum(ids.management_bits);
+      row_hw = std::max<std::uint64_t>(row_hw, part.stats.metrics.max(ids.row_bits));
     }
+    EXPECT_EQ(m.sum(ids.rows), rows) << stripes << " stripes";
     EXPECT_EQ(m.sum(ids.payload_bits), payload) << stripes << " stripes";
     EXPECT_EQ(m.sum(ids.management_bits), management) << stripes << " stripes";
     EXPECT_EQ(m.max(ids.row_bits), row_hw) << stripes << " stripes";
@@ -155,7 +160,7 @@ TEST_P(StripeEquivalence, BitIdenticalToWholeFrameAtThresholdZero) {
   if (num_stripes < h - n + 1) {
     EXPECT_GT(striped.stats.max_row_bits(), 0u);
   } else {
-    EXPECT_TRUE(striped.stats.per_row.empty());
+    EXPECT_EQ(striped.stats.metrics.sum(core::EngineMetricIds::get().rows), 0u);
   }
   EXPECT_GT(whole_result.stats.max_row_bits(), 0u);
 }
@@ -176,7 +181,8 @@ TEST(StripeEquivalencePooled, PooledRunMatchesSequentialRun) {
   EXPECT_EQ(pooled.reconstructed, sequential.reconstructed);
   EXPECT_EQ(pooled.reconstructed, img);
   EXPECT_EQ(pooled.stats.windows_emitted(), sequential.stats.windows_emitted());
-  EXPECT_EQ(pooled.stats.per_row.size(), sequential.stats.per_row.size());
+  const auto rows = core::EngineMetricIds::get().rows;
+  EXPECT_EQ(pooled.stats.metrics.sum(rows), sequential.stats.metrics.sum(rows));
 }
 
 TEST(StripeEquivalencePooled, AdversarialContentStaysExact) {

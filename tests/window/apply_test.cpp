@@ -52,7 +52,7 @@ TEST(Apply, CompressedResultCarriesReconstructionAndStats) {
   const auto img = image::make_natural_image(32, 24);
   const auto result = apply_compressed(img, make_config(32, 24, 4, 0), kernels::BoxMeanKernel{});
   EXPECT_EQ(result.reconstructed, img);  // lossless
-  EXPECT_FALSE(result.stats.per_row.empty());
+  EXPECT_GT(result.stats.metrics.sum(core::EngineMetricIds::get().rows), 0u);
 }
 
 TEST(Apply, LossyEnginesStillProduceFullOutputPlane) {
