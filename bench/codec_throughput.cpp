@@ -352,7 +352,7 @@ int main() {
     const auto& ids = core::EngineMetricIds::get();
     for (const auto [label, id] :
          {std::pair{"decompose", ids.stage_decompose}, std::pair{"encode", ids.stage_encode},
-          std::pair{"decode", ids.stage_decode}, std::pair{"recompose", ids.stage_recompose}}) {
+          std::pair{"recompose", ids.stage_recompose}}) {
       const telemetry::MetricCell* c = engine_run.stats.metrics.find(id);
       if (c == nullptr || c->count == 0) continue;
       std::printf("  %-12s %10.1f us total, %8.1f us/row\n", label,

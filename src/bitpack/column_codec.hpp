@@ -110,14 +110,18 @@ class ColumnEncoder {
   void encode(std::span<const std::uint8_t> coeffs, const ColumnCodecConfig& config,
               bool column_is_even, EncodedColumn& out);
 
+  // The thresholded column of the last encode(): exactly what ColumnDecoder
+  // returns for its output. Valid until the next encode().
+  [[nodiscard]] std::span<const std::uint8_t> kept() const noexcept { return kept_; }
+
  private:
   std::vector<std::uint8_t> kept_;
   BitWriter writer_;
 };
 
 // Reusable decoder: decodes into a caller-owned output buffer (reusing its
-// capacity). Stateless today; kept as a class so decode scratch can grow
-// without touching call sites.
+// capacity). No engine path unpacks (the codec backends use
+// ColumnEncoder::kept()); this is the tests' oracle.
 class ColumnDecoder {
  public:
   // Reconstructs the (thresholded) coefficient column into `out`. With

@@ -6,15 +6,17 @@
 // recompressed on the way. What fills the compressed buffer — which
 // transform, which predictor, which quantizer, which entropy layout — is
 // the codec backend. This interface factors exactly that seam out of
-// core::CompressedEngine: a backend consumes one N x W band, round-trips it
-// through its own decompose/encode/decode/recompose stages, and reports the
-// bit accounting the engine turns into RunStats and BRAM provisioning.
+// core::CompressedEngine: a backend consumes one N x W band, runs it through
+// its own decompose/encode/recompose stages, and reports the bit accounting
+// the engine turns into RunStats and BRAM provisioning.
 //
 // Contract for transcode_band():
 //  * `band` and `out` are N x W row-major byte planes and must not alias.
 //  * The result in `out` is the band as the hardware would reconstruct it
 //    from the compressed buffer: bit-exact with `band` when the codec config
-//    is lossless (threshold 0), drift-affected otherwise.
+//    is lossless (threshold 0), drift-affected otherwise. Backends rebuild
+//    it from the thresholded columns detail::ColumnCoder returns, which the
+//    packer (lossless after the threshold) would unpack unchanged.
 //  * All per-run mutable state lives in the BackendScratch the caller
 //    obtained from make_scratch(), so one backend instance is const and
 //    reentrant (the runtime processes many frames concurrently on one
@@ -24,14 +26,14 @@
 //    so RunStats::codec_ns() and the per-stage bench breakdowns keep working
 //    for every backend.
 //
-// Backends register by name in the process-global BackendRegistry;
+// BackendRegistry is a fixed table of the built-in backends;
 // core::EngineConfig::backend selects one per engine (and therefore per
 // runtime stream / serve session).
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,7 +74,6 @@ class BackendScratch {
 struct StageIds {
   telemetry::MetricId decompose;
   telemetry::MetricId encode;
-  telemetry::MetricId decode;
   telemetry::MetricId recompose;
 
   [[nodiscard]] static const StageIds& get();
@@ -94,30 +95,37 @@ class CodecBackend {
                               BandTranscodeStats& stats) const = 0;
 };
 
-// Process-global name -> factory table. Registration is cold-path and
-// thread-safe; the built-in backends ("haar", "legall53", "microshift") are
-// registered on first use of any lookup.
+// The built-in backends ("haar", "legall53", "microshift"), each built once
+// on first use and shared by every engine that selects it (backends are
+// immutable).
 class BackendRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<CodecBackend>()>;
-
-  // Throws std::invalid_argument when the name is already taken.
-  static void register_backend(std::string name, Factory factory);
-
   // Throws std::invalid_argument for an unknown name.
   [[nodiscard]] static std::shared_ptr<const CodecBackend> make(std::string_view name);
 
   [[nodiscard]] static bool contains(std::string_view name);
 
-  // Registered names, sorted.
+  // Backend names, sorted.
   [[nodiscard]] static std::vector<std::string> names();
 };
 
 namespace detail {
-// Shared column-codec plumbing: fold one encoded column's bit accounting
-// (payload, management, per-stream payload widths) into `stats`.
-void account_column(const bitpack::EncodedColumn& enc, const bitpack::ColumnCodecConfig& config,
-                    BandTranscodeStats& stats);
+
+// The column step every backend shares: packs one column, folds its payload,
+// management and per-stream widths into `stats`, counts it in stats.columns,
+// and returns the thresholded column, which is what unpacking would yield.
+// The span stays valid until the next code().
+class ColumnCoder {
+ public:
+  std::span<const std::uint8_t> code(std::span<const std::uint8_t> coeffs,
+                                     const bitpack::ColumnCodecConfig& config,
+                                     bool column_is_even, BandTranscodeStats& stats);
+
+ private:
+  bitpack::ColumnEncoder encoder_;
+  bitpack::EncodedColumn encoded_;
+};
+
 }  // namespace detail
 
 }  // namespace swc::codec

@@ -1,6 +1,6 @@
 #pragma once
 // Factories for the built-in codec backends. Internal to src/codec: the
-// registry registers these on first use; everyone else goes through
+// registry's table calls each once on first use; everyone else goes through
 // BackendRegistry::make() by name.
 
 #include <memory>

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bitpack/column_codec.hpp"
 #include "codec/backend.hpp"
 #include "codec/builtin.hpp"
 #include "simd/batch_kernels.hpp"
@@ -46,15 +45,13 @@ int levels_for(std::size_t n, std::size_t w) {
 
 struct LegallScratch final : BackendScratch {
   std::vector<std::uint8_t> work;        // n x w working band (forward layout)
-  std::vector<std::uint8_t> recon;       // decoded band before the inverse
+  std::vector<std::uint8_t> recon;       // coded band before the inverse
   std::vector<std::uint8_t> row_even, row_odd, row_tmp;
   std::vector<std::uint8_t> v_low, v_high;  // vertical-stage halves, region-sized
   // int32 staging for the batched lifting kernels.
   std::vector<std::int32_t> a32, b32, c32, o32, p32;
-  bitpack::ColumnEncoder encoder;
-  bitpack::ColumnDecoder decoder;
-  std::vector<bitpack::EncodedColumn> enc_cols;
-  std::vector<std::uint8_t> col, dec_col;
+  detail::ColumnCoder coder;
+  std::vector<std::uint8_t> col;
 };
 
 void widen_u8(const std::uint8_t* in, std::int32_t* out, std::size_t m) {
@@ -274,25 +271,16 @@ class Legall53Backend final : public CodecBackend {
     // (their top halves contain the whole LL pyramid), so lossless-LL
     // ablations keep a protected smooth band here too.
     const std::size_t ll_cols = w >> levels;
-    st.enc_cols.resize(w);
     st.col.resize(n);
     st.recon.resize(n * w);
     {
       telemetry::Span span(metrics, ids.encode);
       for (std::size_t x = 0; x < w; ++x) {
         for (std::size_t y = 0; y < n; ++y) st.col[y] = st.work[y * w + x];
-        st.encoder.encode(st.col, config, /*column_is_even=*/x < ll_cols, st.enc_cols[x]);
+        const auto kept = st.coder.code(st.col, config, /*column_is_even=*/x < ll_cols, stats);
+        for (std::size_t y = 0; y < n; ++y) st.recon[y * w + x] = kept[y];
       }
     }
-    {
-      telemetry::Span span(metrics, ids.decode);
-      for (std::size_t x = 0; x < w; ++x) {
-        st.decoder.decode(st.enc_cols[x], n, config, st.dec_col);
-        for (std::size_t y = 0; y < n; ++y) st.recon[y * w + x] = st.dec_col[y];
-        detail::account_column(st.enc_cols[x], config, stats);
-      }
-    }
-    stats.columns = w;
 
     {
       telemetry::Span span(metrics, ids.recompose);

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bitpack/column_codec.hpp"
 #include "codec/backend.hpp"
 #include "codec/builtin.hpp"
 #include "telemetry/telemetry.hpp"
@@ -39,10 +38,8 @@ std::uint8_t quantize_residual(std::uint8_t wrapped, int k) {
 }
 
 struct MicroshiftScratch final : BackendScratch {
-  bitpack::ColumnEncoder encoder;
-  bitpack::ColumnDecoder decoder;
-  std::vector<bitpack::EncodedColumn> enc_cols;
-  std::vector<std::uint8_t> residuals, dec_col;
+  detail::ColumnCoder coder;
+  std::vector<std::uint8_t> residuals;
 };
 
 class MicroshiftBackend final : public CodecBackend {
@@ -72,12 +69,12 @@ class MicroshiftBackend final : public CodecBackend {
     bitpack::ColumnCodecConfig pack = config;
     pack.threshold = 0;
 
-    st.enc_cols.resize(w);
     st.residuals.resize(n);
 
-    // Prediction is fused with encoding and reconstruction with decoding, so
-    // this backend's work lands entirely in the encode/decode stage timers
-    // (decompose/recompose record nothing — there is no separate transform).
+    // Prediction, quantization and the closed-loop reconstruction share one
+    // pass, so all of this backend's time is in the encode stage
+    // (decompose/recompose record nothing). At packer threshold 0 the coded
+    // column is the residuals themselves: code() only does the accounting.
     {
       telemetry::Span span(metrics, ids.encode);
       for (std::size_t x = 0; x < w; ++x) {
@@ -88,25 +85,11 @@ class MicroshiftBackend final : public CodecBackend {
           const std::uint8_t q = quantize_residual(e, k);
           st.residuals[y] = q;
           pred = (pred + static_cast<std::int8_t>(q) * scale) & 0xFF;
-        }
-        st.encoder.encode(st.residuals, pack, /*column_is_even=*/true, st.enc_cols[x]);
-      }
-    }
-
-    // Decode + closed-loop reconstruction + accounting.
-    {
-      telemetry::Span span(metrics, ids.decode);
-      for (std::size_t x = 0; x < w; ++x) {
-        st.decoder.decode(st.enc_cols[x], n, pack, st.dec_col);
-        int pred = 128;
-        for (std::size_t y = 0; y < n; ++y) {
-          pred = (pred + static_cast<std::int8_t>(st.dec_col[y]) * scale) & 0xFF;
           out[y * w + x] = static_cast<std::uint8_t>(pred);
         }
-        detail::account_column(st.enc_cols[x], pack, stats);
+        st.coder.code(st.residuals, pack, /*column_is_even=*/true, stats);
       }
     }
-    stats.columns = w;
   }
 
  private:

@@ -1,45 +1,27 @@
 #include "codec/backend.hpp"
 
-#include <algorithm>
-#include <map>
+#include <array>
 #include <stdexcept>
 
 #include "codec/builtin.hpp"
-#include "core/sync.hpp"
-#include "core/thread_annotations.hpp"
 
 namespace swc::codec {
 namespace {
 
-struct RegistryState {
-  swc::Mutex mutex;
-  // Factories plus a memoized instance per name: backends are immutable, so
-  // every engine selecting "haar" can share one object.
-  std::map<std::string, BackendRegistry::Factory, std::less<>> factories SWC_GUARDED_BY(mutex);
-  std::map<std::string, std::shared_ptr<const CodecBackend>, std::less<>> instances
-      SWC_GUARDED_BY(mutex);
-};
-
-RegistryState& state() {
-  static RegistryState s;
-  return s;
+// The built-in backends in name order, built once on first use (a function
+// static rather than static initializers in each backend's translation unit,
+// which a static-library link is free to drop).
+const std::array<std::shared_ptr<const CodecBackend>, 3>& builtins() {
+  static const std::array<std::shared_ptr<const CodecBackend>, 3> table = {
+      make_haar_backend(), make_legall53_backend(), make_microshift_backend()};
+  return table;
 }
 
-void register_locked(RegistryState& s, std::string name, BackendRegistry::Factory factory)
-    SWC_REQUIRES(s.mutex) {
-  if (name.empty()) throw std::invalid_argument("BackendRegistry: empty backend name");
-  if (!s.factories.emplace(std::move(name), std::move(factory)).second) {
-    throw std::invalid_argument("BackendRegistry: backend already registered");
+const std::shared_ptr<const CodecBackend>* find(std::string_view name) {
+  for (const auto& backend : builtins()) {
+    if (backend->name() == name) return &backend;
   }
-}
-
-// Built-ins are registered explicitly (not via static initializers in their
-// own translation units, which a static-library link is free to drop).
-void ensure_builtins(RegistryState& s) SWC_REQUIRES(s.mutex) {
-  if (!s.factories.empty()) return;
-  register_locked(s, "haar", [] { return make_haar_backend(); });
-  register_locked(s, "legall53", [] { return make_legall53_backend(); });
-  register_locked(s, "microshift", [] { return make_microshift_backend(); });
+  return nullptr;
 }
 
 }  // namespace
@@ -52,63 +34,41 @@ const StageIds& StageIds::get() {
   static const StageIds ids = {
       Registry::metric("engine.stage.decompose", MetricKind::Timer, "ns"),
       Registry::metric("engine.stage.encode", MetricKind::Timer, "ns"),
-      Registry::metric("engine.stage.decode", MetricKind::Timer, "ns"),
       Registry::metric("engine.stage.recompose", MetricKind::Timer, "ns"),
   };
   return ids;
 }
 
-void BackendRegistry::register_backend(std::string name, Factory factory) {
-  RegistryState& s = state();
-  swc::MutexLock lock(s.mutex);
-  ensure_builtins(s);
-  register_locked(s, std::move(name), std::move(factory));
-}
-
 std::shared_ptr<const CodecBackend> BackendRegistry::make(std::string_view name) {
-  RegistryState& s = state();
-  swc::MutexLock lock(s.mutex);
-  ensure_builtins(s);
-  if (auto cached = s.instances.find(name); cached != s.instances.end()) {
-    return cached->second;
-  }
-  auto it = s.factories.find(name);
-  if (it == s.factories.end()) {
+  const auto* backend = find(name);
+  if (backend == nullptr) {
     throw std::invalid_argument("BackendRegistry: unknown codec backend \"" + std::string(name) +
                                 "\"");
   }
-  std::shared_ptr<const CodecBackend> backend = it->second();
-  if (!backend) throw std::logic_error("BackendRegistry: factory returned null");
-  s.instances.emplace(std::string(name), backend);
-  return backend;
+  return *backend;
 }
 
-bool BackendRegistry::contains(std::string_view name) {
-  RegistryState& s = state();
-  swc::MutexLock lock(s.mutex);
-  ensure_builtins(s);
-  return s.factories.find(name) != s.factories.end();
-}
+bool BackendRegistry::contains(std::string_view name) { return find(name) != nullptr; }
 
 std::vector<std::string> BackendRegistry::names() {
-  RegistryState& s = state();
-  swc::MutexLock lock(s.mutex);
-  ensure_builtins(s);
   std::vector<std::string> out;
-  out.reserve(s.factories.size());
-  for (const auto& [name, factory] : s.factories) out.push_back(name);
-  return out;  // std::map iterates sorted
+  for (const auto& backend : builtins()) out.emplace_back(backend->name());
+  return out;  // the table is in name order
 }
 
 namespace detail {
 
-void account_column(const bitpack::EncodedColumn& enc, const bitpack::ColumnCodecConfig& config,
-                    BandTranscodeStats& stats) {
-  stats.payload_bits += enc.payload_bit_count;
-  stats.management_bits += enc.management_bits();
-  bitpack::for_each_payload_width(enc, config, [&](std::size_t i, int width) {
+std::span<const std::uint8_t> ColumnCoder::code(std::span<const std::uint8_t> coeffs,
+                                                const bitpack::ColumnCodecConfig& config,
+                                                bool column_is_even, BandTranscodeStats& stats) {
+  encoder_.encode(coeffs, config, column_is_even, encoded_);
+  stats.payload_bits += encoded_.payload_bit_count;
+  stats.management_bits += encoded_.management_bits();
+  bitpack::for_each_payload_width(encoded_, config, [&](std::size_t i, int width) {
     stats.stream_bits[i] += static_cast<std::size_t>(width);
   });
+  ++stats.columns;
+  return encoder_.kept();
 }
 
 }  // namespace detail

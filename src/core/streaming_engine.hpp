@@ -8,12 +8,14 @@
 // row r, each N-pixel column leaving the window is wavelet-decomposed,
 // thresholded, bit-packed into the memory unit, and unpacked + inverse-
 // transformed when it re-enters the window one image-width later for output
-// row r+1. With threshold 0 the codec is exactly lossless, so the two
-// engines produce identical windows (verified by tests). With threshold > 0
-// the recycled rows accumulate recompression error over their N-row lifetime
-// ("drift"); reconstructed() exposes each row as it finally exits, which is
-// the architecture's true output-side image, and stats() records the real
-// buffer occupancy per row transition.
+// row r+1. The model counts the packed bits but skips the unpack, since the
+// thresholded coefficients are what it yields (codec/backend.hpp). With
+// threshold 0 the codec is exactly lossless, so the two engines produce
+// identical windows (verified by tests). With threshold > 0 the recycled
+// rows accumulate recompression error over their N-row lifetime ("drift");
+// reconstructed() exposes each row as it finally exits, which is the
+// architecture's true output-side image, and stats() records the real buffer
+// occupancy per row transition.
 //
 // Both engines invoke sink(row, col, WindowView) for every valid window
 // position, left-to-right, top-to-bottom, matching the raster streaming
@@ -75,8 +77,10 @@ struct EngineMetricIds {
   telemetry::MetricId row_bits;         // gauge: whole-buffer occupancy peak
   telemetry::MetricId stream_bits;      // gauge: worst single window-row FIFO
   telemetry::MetricId stage_decompose;  // timer: wavelet forward pass
-  telemetry::MetricId stage_encode;     // timer: column encode pass
-  telemetry::MetricId stage_decode;     // timer: column decode + occupancy pass
+  telemetry::MetricId stage_encode;     // timer: column code + occupancy pass
+  // No backend unpacks, so this reads 0, as microshift's decompose and
+  // recompose do. Kept for per-stage reports that name all four timers.
+  telemetry::MetricId stage_decode;     // timer: always 0
   telemetry::MetricId stage_recompose;  // timer: inverse pass + band shift
 
   [[nodiscard]] static const EngineMetricIds& get();
@@ -103,8 +107,7 @@ struct RunStats {
   // Wall time in the codec passes (zero when built with SWC_TELEMETRY=OFF)
   // and the number of columns they processed.
   [[nodiscard]] std::uint64_t codec_ns() const {
-    const auto& ids = EngineMetricIds::get();
-    return metrics.sum(ids.stage_encode) + metrics.sum(ids.stage_decode);
+    return metrics.sum(EngineMetricIds::get().stage_encode);
   }
   [[nodiscard]] std::uint64_t codec_columns() const {
     return metrics.sum(EngineMetricIds::get().codec_columns);

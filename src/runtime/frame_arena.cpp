@@ -49,45 +49,40 @@ std::size_t FrameArena::size_class(std::size_t bytes) noexcept {
   return cls;
 }
 
-FrameArena::FrameArena(FrameArenaOptions options) : options_(options) {}
-
 std::vector<std::uint8_t> FrameArena::acquire(std::size_t bytes) {
-  if (options_.enabled && bytes > 0) {
-    swc::UniqueLock lock(mutex_);
+  std::vector<std::uint8_t> buf;
+  {
+    swc::MutexLock lock(mutex_);
     // First class whose capacity covers the request; every parked buffer in
     // it (and above) fits by construction.
     auto it = classes_.lower_bound(size_class(bytes));
     if (it != classes_.end() && !it->second.empty()) {
-      std::vector<std::uint8_t> buf = std::move(it->second.back());
+      buf = std::move(it->second.back());
       it->second.pop_back();
       stats_.retained_bytes -= buf.capacity();
       ++stats_.reuses;
-      ++stats_.outstanding;
-      lock.unlock();
-      buf.resize(bytes);
-      return buf;
+      lent_.insert(buf.data());
     }
-    ++stats_.allocs;
-    ++stats_.outstanding;
-    lock.unlock();
-    std::vector<std::uint8_t> buf;
-    buf.reserve(size_class(bytes));
-    buf.resize(bytes);
-    advise_huge(buf);
+  }
+  if (buf.capacity() != 0) {
+    buf.resize(bytes);  // within capacity: the storage address is unchanged
     return buf;
   }
-  {
-    swc::MutexLock lock(mutex_);
-    ++stats_.allocs;
-    ++stats_.outstanding;
-  }
-  return std::vector<std::uint8_t>(bytes);
+  // Fresh allocation, faulted in outside the lock.
+  buf.reserve(size_class(bytes));
+  buf.resize(bytes);
+  advise_huge(buf);
+  swc::MutexLock lock(mutex_);
+  ++stats_.allocs;
+  lent_.insert(buf.data());
+  return buf;
 }
 
 void FrameArena::recycle(std::vector<std::uint8_t> buf) {
   swc::MutexLock lock(mutex_);
-  --stats_.outstanding;
-  if (!options_.enabled || buf.capacity() < kMinClass) {
+  // Only a buffer this arena lent out is its own; parking any other (serve
+  // payloads come from FrameParser) would hoard memory no acquire reuses.
+  if (lent_.erase(buf.data()) == 0) {
     ++stats_.dropped;
     return;
   }
@@ -106,7 +101,9 @@ void FrameArena::recycle(std::vector<std::uint8_t> buf) {
 
 FrameArenaStats FrameArena::stats() const {
   swc::MutexLock lock(mutex_);
-  return stats_;
+  FrameArenaStats snap = stats_;
+  snap.outstanding = static_cast<std::int64_t>(lent_.size());
+  return snap;
 }
 
 }  // namespace swc::runtime

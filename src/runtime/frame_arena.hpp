@@ -12,7 +12,8 @@
 //  * recycle(buf) files the buffer back under the largest class its
 //    capacity covers, subject to per-class (16 buffers) and total (64 MiB)
 //    retention caps (excess buffers are released to the allocator, not
-//    hoarded).
+//    hoarded). The arena keeps only buffers it handed out itself, known by
+//    their storage address; any other buffer is released.
 //
 // Each runtime shard owns one arena, so in the sharded FrameServer a
 // buffer is recycled on the shard whose workers touched it last —
@@ -26,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -33,22 +35,18 @@
 
 namespace swc::runtime {
 
-struct FrameArenaOptions {
-  bool enabled = true;  // disabled: acquire() allocates, recycle() frees
-};
-
 struct FrameArenaStats {
   std::uint64_t allocs = 0;    // acquires served by a fresh allocation
   std::uint64_t reuses = 0;    // acquires served from the freelist
   std::uint64_t recycled = 0;  // buffers returned and retained
-  std::uint64_t dropped = 0;   // buffers returned but released (caps/size)
+  std::uint64_t dropped = 0;   // buffers returned but released (caps/foreign)
   std::size_t retained_bytes = 0;  // capacity currently parked in freelists
   std::int64_t outstanding = 0;    // acquired and not yet returned
 };
 
 class FrameArena {
  public:
-  explicit FrameArena(FrameArenaOptions options = {});
+  FrameArena() = default;
 
   FrameArena(const FrameArena&) = delete;
   FrameArena& operator=(const FrameArena&) = delete;
@@ -56,8 +54,9 @@ class FrameArena {
   // Buffer with size() == bytes (capacity may be larger — a size class).
   [[nodiscard]] std::vector<std::uint8_t> acquire(std::size_t bytes) SWC_EXCLUDES(mutex_);
 
-  // Return a buffer for reuse. Accepts any vector (including ones the
-  // arena never produced); undersized or over-cap buffers are dropped.
+  // Return a buffer for reuse. Accepts any vector, but retains only one
+  // that acquire() handed out (and that kept its storage); foreign or
+  // over-cap buffers are dropped.
   void recycle(std::vector<std::uint8_t> buf) SWC_EXCLUDES(mutex_);
 
   [[nodiscard]] FrameArenaStats stats() const SWC_EXCLUDES(mutex_);
@@ -71,10 +70,12 @@ class FrameArena {
   [[nodiscard]] swc::Mutex& mu() const SWC_RETURN_CAPABILITY(mutex_) { return mutex_; }
 
  private:
-  const FrameArenaOptions options_;
   mutable swc::Mutex mutex_;
   // class capacity -> parked buffers of at least that capacity
   std::map<std::size_t, std::vector<std::vector<std::uint8_t>>> classes_ SWC_GUARDED_BY(mutex_);
+  // Storage addresses of the buffers acquire() handed out and recycle() has
+  // not seen back yet: the arena's proof of ownership.
+  std::unordered_set<const std::uint8_t*> lent_ SWC_GUARDED_BY(mutex_);
   FrameArenaStats stats_ SWC_GUARDED_BY(mutex_);
 };
 

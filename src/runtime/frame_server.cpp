@@ -141,18 +141,14 @@ SubmitReceipt FrameServer::submit_frame(std::uint32_t stream_id, image::ImageU8 
   SubmitReceipt receipt;
   receipt.stream_id = stream_id;
   receipt.frame_seq = seq;
-  switch (pool_.submit_outcome(slot.strand, std::move(job), policy)) {
-    case SubmitOutcome::Accepted:
-      break;
-    case SubmitOutcome::QueueFull:
-      ctx->note_submit_failed();
-      receipt.error = SubmitError::QueueFull;
-      break;
-    case SubmitOutcome::ShutDown:
-      ctx->note_submit_failed();
-      receipt.error = SubmitError::ShuttingDown;
-      break;
-  }
+  const SubmitOutcome outcome = pool_.submit_outcome(slot.strand, std::move(job), policy);
+  if (outcome == SubmitOutcome::Accepted) return receipt;
+  // A refused frame never runs: its payload goes back to the arena here, so
+  // an acquired buffer is reused instead of being lost to the freelist.
+  pool_.arena(ctx->shard()).recycle(std::move(*payload).release());
+  ctx->note_submit_failed();
+  receipt.error =
+      outcome == SubmitOutcome::QueueFull ? SubmitError::QueueFull : SubmitError::ShuttingDown;
   return receipt;
 }
 

@@ -144,7 +144,8 @@ class FrameServer {
   // A frame-sized buffer recycled from the stream's shard arena (falls back
   // to a fresh allocation when the freelist is dry). Producers that source
   // their frames here close the recycle loop: payload buffers return to the
-  // same shard's arena after processing. Throws for unknown streams.
+  // same shard's arena after processing, or at once when the submit is
+  // refused. Throws for unknown streams.
   [[nodiscard]] image::ImageU8 acquire_frame(std::uint32_t stream_id);
 
   // Streams currently open (slots minus the free list).

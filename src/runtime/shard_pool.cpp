@@ -37,7 +37,7 @@ ShardPool::ShardPool(ShardPoolOptions options) : options_([&] {
   shards_.reserve(shard_count);
   std::size_t worker_slot = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(options_.arena);
+    auto shard = std::make_unique<Shard>();
     // Shards map onto NUMA nodes round-robin; with more shards than nodes
     // (a forced configuration) several shards share a node's CPUs.
     shard->cpus = topo.nodes[s % topo.node_count()].cpus;

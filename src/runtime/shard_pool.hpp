@@ -68,7 +68,6 @@ struct ShardPoolOptions {
   std::size_t queue_capacity = 64;  // per-shard pending-frame budget; 0 means 1
   std::size_t shards = 0;           // 0 = auto: min(NUMA nodes, workers)
   bool pin_threads = true;          // best-effort pthread_setaffinity_np
-  FrameArenaOptions arena;          // per-shard arena configuration
 };
 
 // Point-in-time view of one shard, folded into RuntimeStatsSnapshot.
@@ -176,8 +175,6 @@ class ShardPool {
   };
 
   struct Shard {
-    explicit Shard(const FrameArenaOptions& arena_options) : arena(arena_options) {}
-
     // Lock order: the arena's freelist mutex is always innermost — never
     // held while taking the shard mutex, and never locked from inside a
     // budget_cv wait (admit() holds only `mutex`).

@@ -27,7 +27,7 @@ struct RuntimeMetricIds {
   telemetry::MetricId steals;       // counter: tokens taken from another shard
   telemetry::MetricId parks;        // counter: worker naps with nothing to do
   telemetry::MetricId queue_depth;  // gauge: worst per-shard pending frames
-  telemetry::MetricId arena_allocs;    // counter: fresh payload/scratch allocs
+  telemetry::MetricId arena_allocs;    // counter: fresh payload allocs
   telemetry::MetricId arena_reuses;    // counter: acquires served from freelist
   telemetry::MetricId arena_recycled;  // counter: buffers retained on return
   telemetry::MetricId arena_dropped;   // counter: buffers released on return
@@ -107,8 +107,7 @@ struct StreamStatsSnapshot {
   // Time inside the column codec and columns coded (codec_ns is zero when
   // the tree is built with SWC_TELEMETRY=OFF — spans compile out).
   [[nodiscard]] std::uint64_t codec_ns() const {
-    const auto& ids = core::EngineMetricIds::get();
-    return metrics.sum(ids.stage_encode) + metrics.sum(ids.stage_decode);
+    return metrics.sum(core::EngineMetricIds::get().stage_encode);
   }
   [[nodiscard]] std::uint64_t codec_columns() const {
     return metrics.sum(core::EngineMetricIds::get().codec_columns);

@@ -38,11 +38,11 @@ struct StreamConfig {
   // Optional closed-loop rate control (compressed streams only): the stream
   // adapts the codec threshold frame to frame toward the configured
   // bits-per-pixel or MSE target instead of using engine.codec.threshold.
-  std::optional<core::RateControlConfig> rate;
+  std::optional<core::RateControlConfig> rate{};
   // Sticky shard placement override. Streams hash onto a shard by id when
   // unset; the serve layer sets this from the connection id so one
   // session's streams land on one shard (shared arena, shared cache).
-  std::optional<std::size_t> shard_hint;
+  std::optional<std::size_t> shard_hint{};
 };
 
 class StreamContext {

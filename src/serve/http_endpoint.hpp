@@ -4,7 +4,8 @@
 // and a metrics scraper.
 //
 //   GET /healthz  -> 200 "ok\n"
-//   GET /metrics  -> 200 telemetry JSON (Server's serve.* snapshot)
+//   GET /metrics  -> 200 telemetry JSON (serve.*, engine.* and runtime.*,
+//                    the STATS_REPLY body)
 //   anything else -> 404 (or 405 for non-GET methods)
 //
 // One request per connection (Connection: close), bodies produced on the

@@ -124,8 +124,8 @@ struct HelloPayload {
   std::uint32_t height = 0;
   std::uint32_t window = 0;
   std::int32_t threshold = 0;
-  std::string name;     // diagnostic stream name, length-prefixed (u16)
-  std::string backend;  // codec backend name, length-prefixed (u16); "" = server default
+  std::string name{};     // diagnostic stream name, length-prefixed (u16)
+  std::string backend{};  // codec backend name, length-prefixed (u16); "" = server default
   RateMode rate_mode = RateMode::None;
   std::uint32_t rate_target_milli = 0;  // target * 1000 (bpp or MSE per rate_mode)
 };

@@ -9,7 +9,6 @@ Server::Server(ServerOptions options)
         engine_options.queue_capacity = options.queue_capacity;
         engine_options.shards = options.shards;
         engine_options.pin_threads = options.pin_threads;
-        engine_options.arena.enabled = options.arena;
         return engine_options;
       }()),
       sessions_(loop_, engine_, options.limits),
@@ -28,7 +27,7 @@ void Server::start() {
         loop_, *options_.http_port,
         HttpEndpoint::Handlers{
             .healthz = [] { return std::string("ok\n"); },
-            .metrics = [this] { return telemetry::to_json(sessions_.metrics()); },
+            .metrics = [this] { return sessions_.metrics_json(); },
         });
     http_port_ = http_->port();
   }

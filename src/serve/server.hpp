@@ -31,10 +31,9 @@ struct ServerOptions {
   // Sharded-runtime knobs, passed through to FrameServerOptions.
   std::size_t shards = 0;  // 0 = auto (one per NUMA node)
   bool pin_threads = true;
-  bool arena = true;  // pooled frame-payload buffers
   // Plain-text scrape listener (GET /healthz, GET /metrics) on the same
   // event loop. nullopt = disabled; 0 = ephemeral, read back via http_port().
-  std::optional<std::uint16_t> http_port;
+  std::optional<std::uint16_t> http_port{};
 };
 
 class Server {

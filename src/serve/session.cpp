@@ -392,11 +392,14 @@ void SessionManager::on_engine_done(std::uint64_t conn_id, runtime::FrameResult 
   drain_parked();
 }
 
-void SessionManager::handle_stats(Session& session, const Message& msg) {
-  // Serve-layer counters plus the engine's runtime aggregate, one JSON blob.
+std::string SessionManager::metrics_json() const {
   telemetry::Snapshot merged = metrics();
   merged.merge(engine_.stats().metrics);
-  const std::string json = telemetry::to_json(merged);
+  return telemetry::to_json(merged);
+}
+
+void SessionManager::handle_stats(Session& session, const Message& msg) {
+  const std::string json = metrics_json();
   send_message(session, MsgType::StatsReply, msg.header.seq,
                {reinterpret_cast<const std::uint8_t*>(json.data()), json.size()});
 }

@@ -68,7 +68,7 @@ struct ServeLimits {
   // Server-side rate-control preset (run_serve --rate=bpp:<t>|mse:<t>).
   // Applied to sessions whose HELLO carries RateMode::None; a client that
   // negotiates its own rate target always wins over the preset.
-  std::optional<core::RateControlConfig> default_rate;
+  std::optional<core::RateControlConfig> default_rate{};
 };
 
 // Process-global serve.* metric names (same idiom as core::EngineMetricIds).
@@ -113,6 +113,11 @@ class SessionManager : public Connection::Handler {
 
   // Copy of the serve.* metrics. Thread-safe.
   [[nodiscard]] telemetry::Snapshot metrics() const SWC_EXCLUDES(metrics_mutex_);
+
+  // The serve.* metrics merged with the engine's runtime aggregate
+  // (engine.*, runtime.*) as one JSON document: the STATS_REPLY body and
+  // the GET /metrics body. Thread-safe.
+  [[nodiscard]] std::string metrics_json() const SWC_EXCLUDES(metrics_mutex_);
 
  private:
   enum class State : std::uint8_t { AwaitingHello, Active };

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: run_serve [--port N] [--workers N] [--queue N] [--max-sessions N]\n"
           "                 [--realtime-inflight N] [--bulk-inflight N]\n"
-          "                 [--shards N] [--pin-threads 0|1] [--arena 0|1]\n"
+          "                 [--shards N] [--pin-threads 0|1]\n"
           "                 [--rate bpp:<t>|mse:<t>] [--device NAME|none]\n"
           "                 [--http-port N]\n"
           "  --shards 0 picks one shard per NUMA node (default)\n"
@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
   options.queue_capacity = static_cast<std::size_t>(arg_value(argc, argv, "--queue", 64));
   options.shards = static_cast<std::size_t>(arg_value(argc, argv, "--shards", 0));
   options.pin_threads = arg_value(argc, argv, "--pin-threads", 1) != 0;
-  options.arena = arg_value(argc, argv, "--arena", 1) != 0;
   options.limits.max_sessions =
       static_cast<std::size_t>(arg_value(argc, argv, "--max-sessions", 512));
   options.limits.realtime_max_inflight =

@@ -350,6 +350,64 @@ TEST(ShardPool, ArenaRecyclesPayloadsAcrossStreamLifetimes) {
   server.wait_idle();
 }
 
+// Payloads the arena never handed out (the serve path builds frames on the
+// parser's buffers, not acquire_frame) are released on return, not parked
+// where no acquire would reuse them. Ownership is per buffer, not a count:
+// a refused submit hands its acquired payload back, and outside payloads
+// returned while an acquired one is held neither take its place nor make
+// the arena drop it later.
+TEST(ShardPool, ArenaReleasesPayloadsItDidNotHandOut) {
+  FrameServer server({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  const auto stream = server.open_stream({.name = "foreign",
+                                          .kind = EngineKind::Compressed,
+                                          .engine = make_config(64, 64, 4),
+                                          .keep_output = false});
+  const auto outside = image::make_natural_image(64, 64, {.seed = 5});
+  const auto arena = [&] { return server.stats().shards.at(0).arena; };
+  for (int f = 0; f < 8; ++f) {
+    ASSERT_TRUE(server.submit(stream, outside, SubmitPolicy::Block));
+  }
+  server.wait_idle();
+  EXPECT_EQ(arena().retained_bytes, 0u);
+  EXPECT_EQ(arena().recycled, 0u);
+  EXPECT_EQ(arena().outstanding, 0);
+
+  // Worker parked on a gated frame, budget spent: the acquired frame is refused.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> running{false};
+  ASSERT_TRUE(server.submit(stream, outside, SubmitPolicy::Block, [&, opened](FrameResult) {
+    running = true;
+    opened.wait();
+  }));
+  while (!running) std::this_thread::yield();
+  ASSERT_TRUE(server.submit(stream, outside, SubmitPolicy::Reject));
+  ASSERT_FALSE(server.submit(stream, server.acquire_frame(stream), SubmitPolicy::Reject));
+  const std::size_t own_bytes = FrameArena::size_class(64 * 64);
+  EXPECT_EQ(arena().outstanding, 0);
+  EXPECT_EQ(arena().recycled, 1u) << "a refused acquired payload returns to the arena";
+  EXPECT_EQ(arena().retained_bytes, own_bytes);
+  gate.set_value();
+  server.wait_idle();
+
+  // Hold an acquired frame while outside payloads come back.
+  auto held = server.acquire_frame(stream);
+  for (int f = 0; f < 8; ++f) {
+    ASSERT_TRUE(server.submit(stream, outside, SubmitPolicy::Block));
+  }
+  server.wait_idle();
+  EXPECT_EQ(arena().retained_bytes, 0u) << "an outside payload took the held frame's place";
+  EXPECT_EQ(arena().recycled, 1u);
+  EXPECT_EQ(arena().outstanding, 1);
+
+  ASSERT_TRUE(server.submit(stream, std::move(held), SubmitPolicy::Block));
+  server.wait_idle();
+  EXPECT_EQ(arena().retained_bytes, own_bytes) << "the held frame was dropped on return";
+  EXPECT_EQ(arena().recycled, 2u);
+  EXPECT_EQ(arena().outstanding, 0);
+  EXPECT_EQ(arena().dropped, 18u);  // every outside payload
+}
+
 // The 1-shard pool must be behaviorally identical to the pre-shard global
 // queue: same reconstruction bits, same window counts as a direct reentrant
 // engine run, at lossless and lossy thresholds alike.
@@ -371,7 +429,7 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
     for (int f = 0; f < 4; ++f) {
       ASSERT_TRUE(server.submit(id, frame, SubmitPolicy::Block, [&, f](FrameResult r) {
         std::unique_lock lock(result_mutex);
-        results[f] = {std::move(r.reconstructed), std::move(r.stats)};
+        results[static_cast<std::size_t>(f)] = {std::move(r.reconstructed), std::move(r.stats)};
       }));
     }
     server.wait_idle();

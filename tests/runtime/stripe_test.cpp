@@ -86,8 +86,7 @@ TEST(StripeMerge, TelemetryFoldMatchesWholeFrameForSingleStripe) {
     EXPECT_EQ(striped.stats.metrics.max(id), reference.stats.metrics.max(id))
         << telemetry::Registry::info(id).name;
   }
-  for (const auto id : {ids.stage_decompose, ids.stage_encode, ids.stage_decode,
-                        ids.stage_recompose}) {
+  for (const auto id : {ids.stage_decompose, ids.stage_encode, ids.stage_recompose}) {
     EXPECT_EQ(striped.stats.metrics.count(id), reference.stats.metrics.count(id))
         << telemetry::Registry::info(id).name;
   }

@@ -286,6 +286,8 @@ TEST(ServeE2E, HttpEndpointServesHealthzAndMetrics) {
   const std::string metrics = http_get("/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
   EXPECT_NE(metrics.find("metrics"), std::string::npos);
+  // The scrape serves what STATS_REPLY serves, runtime arena counters included.
+  EXPECT_NE(metrics.find("runtime.arena.retained_bytes"), std::string::npos) << metrics;
 
   const std::string missing = http_get("/nope");
   EXPECT_NE(missing.find("404"), std::string::npos) << missing;

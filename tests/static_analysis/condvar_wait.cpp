@@ -8,7 +8,7 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 
-namespace {
+namespace condvar_probe {
 
 struct Gate {
   swc::Mutex mutex;
@@ -16,10 +16,10 @@ struct Gate {
   bool open SWC_GUARDED_BY(mutex) = false;
 };
 
-}  // namespace
+}  // namespace condvar_probe
 
-int probe_condvar_wait(Gate& gate);
-int probe_condvar_wait(Gate& gate) {
+int probe_condvar_wait(condvar_probe::Gate& gate);
+int probe_condvar_wait(condvar_probe::Gate& gate) {
   swc::UniqueLock lock(gate.mutex);
   while (!gate.open) gate.cv.wait(lock);
 #if defined(SWC_NEGCOMP)
