@@ -1,11 +1,9 @@
-// Multi-stream runtime throughput on the sharded pool: aggregate frames/sec
-// and MPixels/sec of the FrameServer across a worker sweep ({1,2,4,8} plus
-// the machine's full core count), for both engine kinds, on a synthetic
-// multi-stream workload. Frames are sourced from the per-shard arena
-// (acquire_frame), so the steady state exercises the recycle loop the server
-// runs in production. Alongside the sweep: a 100:1 skew point with forced
-// shards=2 that reports the steal rate, and the stripe-parallel latency of a
-// single large frame.
+// Multi-stream runtime throughput: aggregate frames/sec and MPixels/sec of
+// the FrameServer across a worker sweep ({1,2,4,8} plus the machine's full
+// core count), for both engine kinds, on a synthetic multi-stream workload.
+// Frames are sourced from the pool's arena (acquire_frame), so the steady
+// state exercises the recycle loop the server runs in production. Alongside
+// the sweep: the stripe-parallel latency of a single large frame.
 //
 // The scaling verdict is gated to min(workers, hardware cores): a sweep
 // point that oversubscribes the machine cannot be expected to scale, so it
@@ -35,7 +33,6 @@ using Clock = std::chrono::steady_clock;
 struct MeasuredPoint {
   std::string engine;
   std::size_t workers = 0;
-  std::size_t shards = 0;
   double seconds = 0.0;
   double fps = 0.0;
   double mpixels_per_sec = 0.0;
@@ -44,8 +41,6 @@ struct MeasuredPoint {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   double utilization = 0.0;
-  double steals_per_frame = 0.0;
-  std::vector<double> shard_utilization;  // mean utilization per shard
 };
 
 struct StripePoint {
@@ -76,20 +71,12 @@ void submit_arena_frame(swc::runtime::FrameServer& server, std::uint32_t id,
   (void)server.submit(id, std::move(payload), swc::runtime::SubmitPolicy::Block);
 }
 
-double mean_of(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double x : v) sum += x;
-  return sum / static_cast<double>(v.size());
-}
-
 }  // namespace
 
 int main() {
   using namespace swc;
-  benchx::print_header("Multi-stream runtime throughput (sharded pool)",
-                       "FrameServer aggregate rate vs worker count; skewed-shard steal rate; "
-                       "stripe-parallel latency");
+  benchx::print_header("Multi-stream runtime throughput",
+                       "FrameServer aggregate rate vs worker count; stripe-parallel latency");
 
   constexpr std::size_t kStreams = 8;
   constexpr std::size_t kSize = 256;
@@ -127,12 +114,11 @@ int main() {
     const bool compressed = std::string(engine_name) == "compressed";
     std::printf("engine=%s  streams=%zu  frames/stream=%zu  %zux%zu  window=%zu\n", engine_name,
                 kStreams, frames_per_stream, kSize, kSize, kWindow);
-    std::printf("  %-8s %7s %10s %12s %14s %16s %12s %12s\n", "workers", "shards", "sec",
-                "frames/s", "MPixels/s", "mean lat (ms)", "util", "steals/frame");
+    std::printf("  %-8s %10s %12s %14s %16s %12s\n", "workers", "sec", "frames/s", "MPixels/s",
+                "mean lat (ms)", "util");
     double base_fps = 0.0;
     for (const std::size_t workers : worker_counts) {
-      runtime::FrameServer server(
-          {.workers = workers, .queue_capacity = 2 * total_frames, .shards = 0});
+      runtime::FrameServer server({.workers = workers, .queue_capacity = 2 * total_frames});
       std::vector<std::uint32_t> ids;
       for (std::size_t i = 0; i < kStreams; ++i) {
         ids.push_back(server.open_stream(
@@ -171,7 +157,6 @@ int main() {
       MeasuredPoint p;
       p.engine = engine_name;
       p.workers = workers;
-      p.shards = stats.shards.size();
       p.seconds = sec;
       p.fps = static_cast<double>(total_frames) / sec;
       p.mpixels_per_sec = total_mpixels / sec;
@@ -180,17 +165,11 @@ int main() {
       p.p95_ms = pool_latency.p95_ms();
       p.p99_ms = pool_latency.p99_ms();
       p.utilization = stats.mean_worker_utilization();
-      p.steals_per_frame = static_cast<double>(stats.total_steals()) /
-                           static_cast<double>(total_frames);
-      for (const auto& shard : stats.shards) {
-        p.shard_utilization.push_back(mean_of(shard.worker_utilization));
-      }
       points.push_back(p);
       if (workers == 1) base_fps = p.fps;
 
-      std::printf("  %-8zu %7zu %10.3f %12.1f %14.2f %16.2f %11.0f%% %12.2f   (%.2fx vs 1)\n",
-                  workers, p.shards, sec, p.fps, p.mpixels_per_sec, mean_lat,
-                  100.0 * p.utilization, p.steals_per_frame,
+      std::printf("  %-8zu %10.3f %12.1f %14.2f %16.2f %11.0f%%   (%.2fx vs 1)\n", workers, sec,
+                  p.fps, p.mpixels_per_sec, mean_lat, 100.0 * p.utilization,
                   base_fps > 0.0 ? p.fps / base_fps : 1.0);
     }
     std::printf("\n");
@@ -224,48 +203,6 @@ int main() {
                 hw_cores);
   }
 
-  // 100:1 skew on forced shards=2: one hot stream pinned to shard 0, one
-  // cold stream pinned to shard 1. Work only balances if shard 1's workers
-  // steal the hot strand's token between frames — the steal rate is the
-  // telemetry claim under test.
-  std::size_t skew_shards = 0;
-  double skew_fps = 0.0;
-  double skew_steals_per_frame = 0.0;
-  {
-    const std::size_t hot_frames = 100 * frames_per_stream;
-    const std::size_t cold_frames = frames_per_stream;
-    runtime::FrameServer server({.workers = std::max<std::size_t>(4, hw_cores),
-                                 .queue_capacity = 2 * (hot_frames + cold_frames),
-                                 .shards = 2,
-                                 .pin_threads = false});
-    skew_shards = server.shard_count();
-    const auto hot_id = server.open_stream({.name = "hot",
-                                            .kind = runtime::EngineKind::Compressed,
-                                            .engine = config,
-                                            .keep_output = false,
-                                            .shard_hint = 0});
-    const auto cold_id = server.open_stream({.name = "cold",
-                                             .kind = runtime::EngineKind::Compressed,
-                                             .engine = config,
-                                             .keep_output = false,
-                                             .shard_hint = 1});
-    const auto t0 = Clock::now();
-    for (std::size_t f = 0; f < hot_frames; ++f) {
-      submit_arena_frame(server, hot_id, frames[0]);
-      if (f < cold_frames) submit_arena_frame(server, cold_id, frames[1]);
-    }
-    server.wait_idle();
-    const double sec = seconds_since(t0);
-    const auto stats = server.stats();
-    skew_fps = static_cast<double>(hot_frames + cold_frames) / sec;
-    skew_steals_per_frame = static_cast<double>(stats.total_steals()) /
-                            static_cast<double>(hot_frames + cold_frames);
-    std::printf("\nskew 100:1 (shards=2 forced, %zu workers): %.1f frames/s, "
-                "%.2f steals/frame, %llu parks\n",
-                server.worker_count(), skew_fps, skew_steals_per_frame,
-                static_cast<unsigned long long>(stats.total_parks()));
-  }
-
   // Stripe-parallel latency of one large frame on an 8-worker pool.
   constexpr std::size_t kBigSize = 512;
   core::EngineConfig big = config;
@@ -276,8 +213,7 @@ int main() {
   std::printf("  %-8s %14s\n", "stripes", "ms/frame");
   std::vector<StripePoint> stripe_points;
   {
-    runtime::ShardPool pool(
-        {.workers = 8, .queue_capacity = 16, .shards = 1, .pin_threads = false});
+    runtime::ShardPool pool({.workers = 8, .queue_capacity = 16});
     for (const std::size_t stripes : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
       const auto t0 = Clock::now();
@@ -299,9 +235,8 @@ int main() {
                                " size=" + std::to_string(kSize) +
                                " window=" + std::to_string(kWindow);
   for (const auto& p : points) {
-    const std::string cfg = base_cfg + " engine=" + p.engine +
-                            " workers=" + std::to_string(p.workers) +
-                            " shards=" + std::to_string(p.shards);
+    const std::string cfg =
+        base_cfg + " engine=" + p.engine + " workers=" + std::to_string(p.workers);
     records.push_back({"frame_server", cfg, "frames_per_sec", p.fps, "frames/s"});
     records.push_back({"frame_server", cfg, "throughput", p.mpixels_per_sec, "MPixels/s"});
     records.push_back({"frame_server", cfg, "mean_latency", p.mean_latency_ms, "ms"});
@@ -309,18 +244,6 @@ int main() {
     records.push_back({"frame_server", cfg, "latency_p95", p.p95_ms, "ms"});
     records.push_back({"frame_server", cfg, "latency_p99", p.p99_ms, "ms"});
     records.push_back({"frame_server", cfg, "worker_utilization", p.utilization, "fraction"});
-    records.push_back({"frame_server", cfg, "steal_rate", p.steals_per_frame, "steals/frame"});
-    for (std::size_t s = 0; s < p.shard_utilization.size(); ++s) {
-      records.push_back({"frame_server", cfg + " shard=" + std::to_string(s),
-                         "shard_utilization", p.shard_utilization[s], "fraction"});
-    }
-  }
-  {
-    const std::string cfg = base_cfg + " engine=compressed skew=100:1 shards=" +
-                            std::to_string(skew_shards);
-    records.push_back({"frame_server_skew", cfg, "frames_per_sec", skew_fps, "frames/s"});
-    records.push_back(
-        {"frame_server_skew", cfg, "steal_rate", skew_steals_per_frame, "steals/frame"});
   }
   for (const auto& sp : stripe_points) {
     records.push_back({"stripe_single_frame",

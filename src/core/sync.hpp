@@ -16,11 +16,10 @@
 // Note on condition variables and the analysis: clang analyzes lambda bodies
 // as separate functions, so the predicate-taking wait(lock, pred) overload
 // cannot see the caller's held locks and would flag every guarded read in
-// the predicate. CondVar therefore only offers the plain wait()/wait_for()
-// forms; call sites spell the loop out:
+// the predicate. CondVar therefore only offers the plain wait() form; call
+// sites spell the loop out:
 //     while (!condition) cv.wait(lock);
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -86,11 +85,6 @@ class CondVar {
   // lock is held again on return, the net capability state is unchanged and
   // no annotation is needed.
   void wait(UniqueLock& lock) { cv_.wait(lock.impl_); }
-
-  template <typename Rep, typename Period>
-  void wait_for(UniqueLock& lock, const std::chrono::duration<Rep, Period>& rel_time) {
-    cv_.wait_for(lock.impl_, rel_time);
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -15,14 +15,10 @@
 //    hoarded). The arena keeps only buffers it handed out itself, known by
 //    their storage address; any other buffer is released.
 //
-// Each runtime shard owns one arena, so in the sharded FrameServer a
-// buffer is recycled on the shard whose workers touched it last —
-// first-touch page placement then keeps its pages node-local across
-// reuses without any explicit NUMA API. Large classes are advised
+// The runtime's worker pool owns one arena. Large classes are advised
 // MADV_HUGEPAGE (best-effort; silently a no-op where unsupported).
 //
-// Thread-safe; all operations are short critical sections on one mutex
-// (contention is bounded by design: one arena per shard, not per process).
+// Thread-safe; all operations are short critical sections on one mutex.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,8 +61,9 @@ class FrameArena {
   [[nodiscard]] static std::size_t size_class(std::size_t bytes) noexcept;
 
   // Annotation hook: lets other capabilities name this arena's lock in
-  // ordering attributes (Shard::mutex is SWC_ACQUIRED_AFTER(arena.mu()) —
-  // the freelist lock is always innermost). Not for direct locking.
+  // ordering attributes (ShardPool::mutex_ is
+  // SWC_ACQUIRED_AFTER(arena_.mu()) — the freelist lock is always
+  // innermost). Not for direct locking.
   [[nodiscard]] swc::Mutex& mu() const SWC_RETURN_CAPABILITY(mutex_) { return mutex_; }
 
  private:

@@ -43,14 +43,8 @@ std::uint32_t FrameServer::open_stream(StreamConfig config) {
     id = static_cast<std::uint32_t>(streams_.size());
     streams_.emplace_back();
   }
-  // Sticky placement: the explicit hint wins (the serve layer passes the
-  // connection id so one session's streams share a shard); otherwise ids
-  // round-robin across shards.
-  const std::size_t hint = config.shard_hint.value_or(id);
-  auto strand = pool_.make_strand(hint);
-  const std::size_t shard = strand->home_shard();
-  streams_[id] = Slot{std::make_shared<StreamContext>(id, std::move(config), shard),
-                      std::move(strand)};
+  streams_[id] = Slot{std::make_shared<StreamContext>(id, std::move(config)),
+                      pool_.make_strand()};
   return id;
 }
 
@@ -58,7 +52,7 @@ bool FrameServer::close_stream(std::uint32_t stream_id) {
   swc::MutexLock lock(streams_mutex_);
   if (stream_id >= streams_.size() || streams_[stream_id].ctx == nullptr) return false;
   // Dropping the slot's references is the release: strand tokens still in
-  // flight share ownership of the context and strand, and flush their
+  // flight share ownership of the context and strand, and book their
   // telemetry on completion, so closing never races frame execution.
   streams_[stream_id] = Slot{};
   // Keep the free list sorted descending so pop_back() hands out the
@@ -85,19 +79,13 @@ std::size_t FrameServer::stream_slots() const {
   return streams_.size();
 }
 
-std::size_t FrameServer::queue_depth_for(std::uint32_t stream_id) const {
-  auto slot = find_stream(stream_id);
-  if (slot.ctx == nullptr) return 0;
-  return pool_.queue_depth(slot.ctx->shard());
-}
-
 image::ImageU8 FrameServer::acquire_frame(std::uint32_t stream_id) {
   auto slot = find_stream(stream_id);
   if (slot.ctx == nullptr) {
     throw std::invalid_argument("FrameServer: unknown stream id " + std::to_string(stream_id));
   }
   const auto& spec = slot.ctx->config().engine.spec;
-  auto buf = pool_.arena(slot.ctx->shard()).acquire(spec.image_width * spec.image_height);
+  auto buf = pool_.arena().acquire(spec.image_width * spec.image_height);
   return image::ImageU8(spec.image_width, spec.image_height, std::move(buf));
 }
 
@@ -123,10 +111,8 @@ SubmitReceipt FrameServer::submit_frame(std::uint32_t stream_id, image::ImageU8 
     auto run = ctx->process(*payload, ctx->strand_scratch());
     const std::uint64_t latency = elapsed_ns(submitted_at);
     const std::size_t pixels = payload->size();
-    // The payload buffer returns to the arena of the shard whose workers
-    // just touched it (first-touch pages stay node-local across reuses).
-    pool_.arena(ctx->shard()).recycle(std::move(*payload).release());
-    ctx->note_completed(run.stats, pixels, latency);
+    pool_.arena().recycle(std::move(*payload).release());
+    note_completed(*ctx, run.stats, pixels, latency);
     if (on_done) {
       FrameResult result;
       result.stream_id = ctx->id();
@@ -145,7 +131,7 @@ SubmitReceipt FrameServer::submit_frame(std::uint32_t stream_id, image::ImageU8 
   if (outcome == SubmitOutcome::Accepted) return receipt;
   // A refused frame never runs: its payload goes back to the arena here, so
   // an acquired buffer is reused instead of being lost to the freelist.
-  pool_.arena(ctx->shard()).recycle(std::move(*payload).release());
+  pool_.arena().recycle(std::move(*payload).release());
   ctx->note_submit_failed();
   receipt.error =
       outcome == SubmitOutcome::QueueFull ? SubmitError::QueueFull : SubmitError::ShuttingDown;
@@ -169,7 +155,7 @@ FrameResult FrameServer::submit_striped(std::uint32_t stream_id, const image::Im
 
   auto run = run_compressed_striped(ctx->config().engine, frame, max_stripes, &pool_);
   const std::uint64_t latency = elapsed_ns(submitted_at);
-  ctx->note_completed(run.stats, frame.size(), latency);
+  note_completed(*ctx, run.stats, frame.size(), latency);
 
   FrameResult result;
   result.stream_id = ctx->id();
@@ -180,18 +166,25 @@ FrameResult FrameServer::submit_striped(std::uint32_t stream_id, const image::Im
   return result;
 }
 
+void FrameServer::note_completed(StreamContext& ctx, const core::RunStats& stats,
+                                 std::size_t pixels, std::uint64_t latency_ns) {
+  ctx.note_completed(stats, pixels, latency_ns);
+  swc::MutexLock lock(totals_mutex_);
+  totals_.merge(stats.metrics);
+}
+
 void FrameServer::wait_idle() { pool_.wait_idle(); }
 
 RuntimeStatsSnapshot FrameServer::stats() const {
+  const ShardStatsSnapshot pool = pool_.stats();
   RuntimeStatsSnapshot snap;
-  snap.workers = pool_.worker_count();
-  snap.queue_capacity = pool_.queue_capacity();
-  snap.queue_depth = pool_.queue_depth();
-  snap.queue_high_water = pool_.queue_high_water();
-  snap.worker_utilization = pool_.worker_utilization();
-  snap.shards = pool_.shard_stats();
-  snap.wall_seconds =
-      static_cast<double>(elapsed_ns(start_)) / 1e9;
+  snap.workers = pool.workers;
+  snap.queue_capacity = pool.queue_capacity;
+  snap.queue_depth = pool.queue_depth;
+  snap.queue_high_water = pool.queue_high_water;
+  snap.worker_utilization = pool.worker_utilization;
+  snap.shards = {pool};
+  snap.wall_seconds = static_cast<double>(elapsed_ns(start_)) / 1e9;
   {
     swc::MutexLock lock(streams_mutex_);
     snap.streams.reserve(streams_.size());
@@ -203,21 +196,21 @@ RuntimeStatsSnapshot FrameServer::stats() const {
     snap.frames_submitted += s.frames_submitted;
     snap.frames_completed += s.frames_completed;
     snap.frames_rejected += s.frames_rejected;
-    snap.metrics.merge(s.metrics);
+  }
+  {
+    swc::MutexLock lock(totals_mutex_);
+    snap.metrics = totals_;
   }
   // Fold the dispatch layer's own counters in so runtime.* metrics travel
   // with every snapshot (and through benchx's snapshot emitter).
   const auto& rids = RuntimeMetricIds::get();
-  for (const auto& sh : snap.shards) {
-    snap.metrics.add(rids.steals, sh.steals);
-    snap.metrics.add(rids.parks, sh.parks);
-    snap.metrics.note_max(rids.queue_depth, sh.queue_depth);
-    snap.metrics.add(rids.arena_allocs, sh.arena.allocs);
-    snap.metrics.add(rids.arena_reuses, sh.arena.reuses);
-    snap.metrics.add(rids.arena_recycled, sh.arena.recycled);
-    snap.metrics.add(rids.arena_dropped, sh.arena.dropped);
-    snap.metrics.note_max(rids.arena_retained, sh.arena.retained_bytes);
-  }
+  snap.metrics.add(rids.parks, pool.parks);
+  snap.metrics.note_max(rids.queue_depth, pool.queue_depth);
+  snap.metrics.add(rids.arena_allocs, pool.arena.allocs);
+  snap.metrics.add(rids.arena_reuses, pool.arena.reuses);
+  snap.metrics.add(rids.arena_recycled, pool.arena.recycled);
+  snap.metrics.add(rids.arena_dropped, pool.arena.dropped);
+  snap.metrics.note_max(rids.arena_retained, pool.arena.retained_bytes);
   return snap;
 }
 

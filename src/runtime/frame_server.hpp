@@ -3,22 +3,20 @@
 //
 // Callers open independent streams (each with its own engine kind, geometry,
 // codec threshold, and accumulated stats) and submit frames. Frames are
-// dispatched to a ShardPool with a per-shard frame budget: SubmitPolicy::Block
+// dispatched to a ShardPool with one frame budget: SubmitPolicy::Block
 // applies backpressure to the producer, SubmitPolicy::Reject fails fast and
 // counts the drop per stream. Completed frames optionally invoke a caller
 // callback (from the worker thread) with the reconstructed image, codec run
 // stats, and measured latency.
 //
-// Dispatch is sharded (see runtime/shard_pool.hpp): every stream gets a
-// sticky home shard at open_stream (id-hashed, or StreamConfig::shard_hint
-// for explicit co-location) and a strand that serializes its frames, so a
-// stream's completions happen in submission order while different streams
-// run fully parallel. Idle shards steal queued work from busy ones, and
-// each shard's arena recycles frame payloads node-locally.
+// Every stream gets a strand at open_stream (see runtime/shard_pool.hpp)
+// that serializes its frames, so a stream's completions happen in
+// submission order while different streams run fully parallel, and the
+// pool's arena recycles frame payloads.
 //
 // Two parallelism axes compose:
 //  * stream-parallel — independent streams' frames run concurrently across
-//    the shards (the engines are const/reentrant);
+//    the workers (the engines are const/reentrant);
 //  * stripe-parallel — submit_striped() splits one large frame into
 //    horizontal halo-overlapped stripes (see runtime/stripe.hpp) so a single
 //    frame can occupy every worker; exact at threshold 0.
@@ -93,10 +91,9 @@ class FrameServer {
   // Retires a stream: its slot is freed for reuse and subsequent submissions
   // to the id fail with SubmitError::UnknownStream. Frames already in flight
   // finish normally (workers hold their own reference to the context) and
-  // their stats are flushed into the process-global telemetry registry as
-  // usual — but the per-stream snapshot disappears from stats() once the
-  // last in-flight frame's worker drops the context. Returns false when the
-  // id is unknown or already closed. Thread-safe.
+  // fold into stats().metrics as usual, but the per-stream snapshot leaves
+  // stats().streams at once. Returns false when the id is unknown or
+  // already closed. Thread-safe.
   bool close_stream(std::uint32_t stream_id);
 
   // Enqueue one frame. Returns false when rejected (Reject policy with a
@@ -130,22 +127,17 @@ class FrameServer {
   [[nodiscard]] RuntimeStatsSnapshot stats() const;
 
   [[nodiscard]] std::size_t worker_count() const noexcept { return pool_.worker_count(); }
-  [[nodiscard]] std::size_t shard_count() const noexcept { return pool_.shard_count(); }
   // Lightweight queue pressure probes (stats() builds a full snapshot and
-  // is too heavy to poll per frame): pending frames on / budget of the
-  // stream's home shard, the only budget that gates its submits. Unknown or
-  // closed streams read as depth 0 (a subsequent submit reports
-  // UnknownStream; the probe itself never throws).
-  [[nodiscard]] std::size_t queue_depth_for(std::uint32_t stream_id) const;
-  [[nodiscard]] std::size_t queue_capacity_for(std::uint32_t /*stream_id*/) const noexcept {
-    return pool_.queue_capacity_per_shard();
-  }
+  // is too heavy to poll per frame): pending frames against the pool's one
+  // budget, which gates every submit.
+  [[nodiscard]] std::size_t queue_depth() const { return pool_.queue_depth(); }
+  [[nodiscard]] std::size_t queue_capacity() const noexcept { return pool_.queue_capacity(); }
 
-  // A frame-sized buffer recycled from the stream's shard arena (falls back
-  // to a fresh allocation when the freelist is dry). Producers that source
-  // their frames here close the recycle loop: payload buffers return to the
-  // same shard's arena after processing, or at once when the submit is
-  // refused. Throws for unknown streams.
+  // A frame-sized buffer recycled from the pool's arena (falls back to a
+  // fresh allocation when the freelist is dry). Producers that source their
+  // frames here close the recycle loop: payload buffers return to the arena
+  // after processing, or at once when the submit is refused. Throws for
+  // unknown streams.
   [[nodiscard]] image::ImageU8 acquire_frame(std::uint32_t stream_id);
 
   // Streams currently open (slots minus the free list).
@@ -163,9 +155,17 @@ class FrameServer {
 
   // Empty slot when the id is out of range or has been closed.
   [[nodiscard]] Slot find_stream(std::uint32_t id) const SWC_EXCLUDES(streams_mutex_);
+  // Books a completed frame on its stream and in the server-wide totals.
+  void note_completed(StreamContext& ctx, const core::RunStats& stats, std::size_t pixels,
+                      std::uint64_t latency_ns) SWC_EXCLUDES(totals_mutex_);
 
   ShardPool pool_;
   std::chrono::steady_clock::time_point start_;
+
+  mutable swc::Mutex totals_mutex_;
+  // engine.* metrics of every completed frame since start, so stats().metrics
+  // never goes backwards when a stream closes.
+  telemetry::Snapshot totals_ SWC_GUARDED_BY(totals_mutex_);
 
   mutable swc::Mutex streams_mutex_;
   // index == id; a closed stream leaves a null slot until open_stream()

@@ -19,25 +19,23 @@
 
 namespace swc::runtime {
 
-// Dense telemetry ids for the runtime's own behavior (queueing, stealing,
+// Dense telemetry ids for the runtime's own behavior (queueing, parking,
 // arena traffic) — the dispatch-layer counterpart to core::EngineMetricIds.
 // Counters/gauges are functional output and always live; FrameServer::stats()
 // folds current values into every snapshot's metrics.
 struct RuntimeMetricIds {
-  telemetry::MetricId steals;       // counter: tokens taken from another shard
-  telemetry::MetricId parks;        // counter: worker naps with nothing to do
-  telemetry::MetricId queue_depth;  // gauge: worst per-shard pending frames
+  telemetry::MetricId parks;        // counter: worker sleeps with nothing to do
+  telemetry::MetricId queue_depth;  // gauge: pending frames in the run queue
   telemetry::MetricId arena_allocs;    // counter: fresh payload allocs
   telemetry::MetricId arena_reuses;    // counter: acquires served from freelist
   telemetry::MetricId arena_recycled;  // counter: buffers retained on return
   telemetry::MetricId arena_dropped;   // counter: buffers released on return
-  telemetry::MetricId arena_retained;  // gauge: bytes parked in arena freelists
+  telemetry::MetricId arena_retained;  // gauge: bytes parked in the arena freelist
 
   [[nodiscard]] static const RuntimeMetricIds& get() {
     using telemetry::MetricKind;
     using telemetry::Registry;
     static const RuntimeMetricIds ids = {
-        Registry::metric("runtime.steals", MetricKind::Counter, "tokens"),
         Registry::metric("runtime.parks", MetricKind::Counter, "naps"),
         Registry::metric("runtime.shard_queue_depth", MetricKind::Gauge, "frames"),
         Registry::metric("runtime.arena.allocs", MetricKind::Counter, "buffers"),
@@ -80,7 +78,6 @@ struct LatencyAccumulator {
 struct StreamStatsSnapshot {
   std::uint32_t id = 0;
   std::string name;
-  std::size_t shard = 0;  // the stream's sticky home shard
   std::uint64_t frames_submitted = 0;
   std::uint64_t frames_completed = 0;
   std::uint64_t frames_rejected = 0;
@@ -119,9 +116,7 @@ struct StreamStatsSnapshot {
   }
 };
 
-// Point-in-time view of the whole server. Queue figures aggregate over
-// shards (depth/capacity sum, high water is the worst single shard);
-// per-shard detail lives in `shards`.
+// Point-in-time view of the whole server.
 struct RuntimeStatsSnapshot {
   std::size_t workers = 0;
   std::uint64_t frames_submitted = 0;
@@ -132,12 +127,15 @@ struct RuntimeStatsSnapshot {
   std::size_t queue_high_water = 0;
   double wall_seconds = 0.0;  // since server start
   // Busy fraction per worker over that worker's own loop lifetime (see
-  // DESIGN.md "Sharded runtime" for the metric definition), shard-major.
+  // DESIGN.md "Worker pool" for the metric definition).
   std::vector<double> worker_utilization;
+  // Exactly one entry: the pool's queue, worker and arena view. A vector
+  // only because the benchmark iterates it for the arena counters.
   std::vector<ShardStatsSnapshot> shards;
+  // Open streams only: a closed stream's snapshot leaves with it.
   std::vector<StreamStatsSnapshot> streams;
-  // All streams' metrics folded together (per-stage breakdown server-wide)
-  // plus the runtime.* dispatch metrics.
+  // Every completed frame's engine.* metrics since server start, closed
+  // streams included, plus the runtime.* dispatch metrics.
   telemetry::Snapshot metrics;
 
   [[nodiscard]] double aggregate_fps() const noexcept {
@@ -149,11 +147,9 @@ struct RuntimeStatsSnapshot {
     for (const double u : worker_utilization) sum += u;
     return sum / static_cast<double>(worker_utilization.size());
   }
-  [[nodiscard]] std::uint64_t total_steals() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s.steals;
-    return n;
-  }
+  // Always 0: the pool has one run queue and nothing to steal from. Its
+  // only reason is runtime.steals_per_frame in benchmark/layers.cpp.
+  [[nodiscard]] std::uint64_t total_steals() const noexcept { return 0; }
   [[nodiscard]] std::uint64_t total_parks() const noexcept {
     std::uint64_t n = 0;
     for (const auto& s : shards) n += s.parks;

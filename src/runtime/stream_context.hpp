@@ -39,17 +39,12 @@ struct StreamConfig {
   // adapts the codec threshold frame to frame toward the configured
   // bits-per-pixel or MSE target instead of using engine.codec.threshold.
   std::optional<core::RateControlConfig> rate{};
-  // Sticky shard placement override. Streams hash onto a shard by id when
-  // unset; the serve layer sets this from the connection id so one
-  // session's streams land on one shard (shared arena, shared cache).
-  std::optional<std::size_t> shard_hint{};
 };
 
 class StreamContext {
  public:
-  StreamContext(std::uint32_t id, StreamConfig config, std::size_t shard = 0)
+  StreamContext(std::uint32_t id, StreamConfig config)
       : id_(id),
-        shard_(shard),
         config_(std::move(config)),
         traditional_(config_.engine.spec),
         compressed_(config_.engine),
@@ -62,7 +57,6 @@ class StreamContext {
   }
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
-  [[nodiscard]] std::size_t shard() const noexcept { return shard_; }
   [[nodiscard]] const StreamConfig& config() const noexcept { return config_; }
 
   // Process one frame; returns the reconstructed image (empty for the
@@ -74,8 +68,8 @@ class StreamContext {
     return process(frame, scratch);
   }
 
-  // Scratch-reusing form for serialized callers: the sharded FrameServer
-  // runs a stream's frames strand-ordered (never two at once), so one
+  // Scratch-reusing form for serialized callers: the FrameServer runs a
+  // stream's frames strand-ordered (never two at once), so one
   // caller-held Scratch per stream makes the steady state allocation-free.
   [[nodiscard]] core::CompressedRunResult process(const image::ImageU8& frame,
                                                   core::CompressedEngine::Scratch& scratch) const {
@@ -145,12 +139,9 @@ class StreamContext {
     ++frames_rejected_;
   }
 
-  // Folds the frame's telemetry into the stream accumulator (under the
-  // stream mutex) and into the process-global registry aggregate (lock-free),
-  // so a monitor can watch Registry::global_snapshot() while workers run.
+  // Books one completed frame on this stream: counts, telemetry, latency.
   void note_completed(const core::RunStats& stats, std::size_t pixels,
                       std::uint64_t latency_ns) SWC_EXCLUDES(mutex_) {
-    telemetry::Registry::flush(stats.metrics);
     swc::MutexLock lock(mutex_);
     ++frames_completed_;
     pixels_processed_ += pixels;
@@ -163,7 +154,6 @@ class StreamContext {
     StreamStatsSnapshot snap;
     snap.id = id_;
     snap.name = config_.name;
-    snap.shard = shard_;
     snap.frames_submitted = frames_submitted_;
     snap.frames_completed = frames_completed_;
     snap.frames_rejected = frames_rejected_;
@@ -190,7 +180,6 @@ class StreamContext {
   }
 
   const std::uint32_t id_;
-  const std::size_t shard_;
   const StreamConfig config_;
   const core::TraditionalEngine traditional_;
   const core::CompressedEngine compressed_;

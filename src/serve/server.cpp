@@ -7,8 +7,6 @@ Server::Server(ServerOptions options)
         runtime::FrameServerOptions engine_options;
         engine_options.workers = options.workers;
         engine_options.queue_capacity = options.queue_capacity;
-        engine_options.shards = options.shards;
-        engine_options.pin_threads = options.pin_threads;
         return engine_options;
       }()),
       sessions_(loop_, engine_, options.limits),

@@ -10,10 +10,11 @@
 // start() binds (port 0 => ephemeral, see port()) and spawns the loop
 // thread; stop() closes every connection, stops the loop, and joins. The
 // destructor stops implicitly. Thread-safe accessors: port(),
-// active_sessions(), serve_metrics(), engine().
+// active_sessions(), serve_metrics(), metrics_json(), engine().
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "runtime/frame_server.hpp"
@@ -26,11 +27,8 @@ namespace swc::serve {
 struct ServerOptions {
   std::uint16_t port = 0;  // 0 = ephemeral; read back via port()
   std::size_t workers = 4;
-  std::size_t queue_capacity = 64;  // per runtime shard
+  std::size_t queue_capacity = 64;  // the worker pool's frame budget
   ServeLimits limits;
-  // Sharded-runtime knobs, passed through to FrameServerOptions.
-  std::size_t shards = 0;  // 0 = auto (one per NUMA node)
-  bool pin_threads = true;
   // Plain-text scrape listener (GET /healthz, GET /metrics) on the same
   // event loop. nullopt = disabled; 0 = ephemeral, read back via http_port().
   std::optional<std::uint16_t> http_port{};
@@ -58,6 +56,9 @@ class Server {
     return sessions_.active_sessions();
   }
   [[nodiscard]] telemetry::Snapshot serve_metrics() const { return sessions_.metrics(); }
+  // serve.* merged with the engine's engine.* and runtime.* metrics: the
+  // GET /metrics and STATS_REPLY body. Still complete after stop().
+  [[nodiscard]] std::string metrics_json() const { return sessions_.metrics_json(); }
 
   // The underlying engine (stats(), wait_idle()). Note: submitting frames
   // through it directly from other threads races the serve layer's

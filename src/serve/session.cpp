@@ -183,17 +183,13 @@ void SessionManager::handle_hello(Session& session, const Message& msg) {
     session.planner_member = member;
   }
 
-  // shard_hint = connection id: all streams of one session (and, with id
-  // reuse, successive sessions of a reconnecting client) co-locate on one
-  // runtime shard, sharing its arena and cache warmth.
   session.stream_id = engine_.open_stream({.name = hello->name.empty()
                                                ? "conn-" + std::to_string(session.conn->id())
                                                : hello->name,
                                            .kind = runtime::EngineKind::Compressed,
                                            .engine = config,
                                            .keep_output = false,
-                                           .rate = rate,
-                                           .shard_hint = session.conn->id()});
+                                           .rate = rate});
   session.state = State::Active;
   session.qos = hello->qos;
   session.width = hello->width;
@@ -251,15 +247,12 @@ void SessionManager::handle_submit(Session& session, Message&& msg) {
 bool SessionManager::dispatch_frame(Session& session, std::uint64_t seq, image::ImageU8 frame) {
   // Non-destructive queue-full check for the bulk tier: submit_frame consumes
   // the image even when it rejects, so a frame that must survive to be parked
-  // can never be offered to a full queue. The probe is per stream — it looks
-  // at the home shard this session's stream is pinned to, not the whole
-  // pool, because only that shard's budget gates the submit. It cannot race
-  // another producer — every engine submission happens on this loop thread
-  // (workers only pop, so the depth can only shrink underneath us, which at
-  // worst parks a frame one completion early).
-  if (session.qos == QosTier::Bulk &&
-      engine_.queue_depth_for(session.stream_id) >=
-          engine_.queue_capacity_for(session.stream_id)) {
+  // can never be offered to a full queue. The probe reads the pool's one
+  // budget, which gates every submit. It cannot race another producer —
+  // every engine submission happens on this loop thread (workers only pop,
+  // so the depth can only shrink underneath us, which at worst parks a
+  // frame one completion early).
+  if (session.qos == QosTier::Bulk && engine_.queue_depth() >= engine_.queue_capacity()) {
     session.parked.push_front({seq, std::move(frame)});
     return false;
   }
@@ -426,7 +419,7 @@ void SessionManager::on_connection_closed(std::uint64_t conn_id, const char* /*r
     // Retire the engine stream with the session — one connection is one
     // stream, so an unclosed stream here is a leak (the slot table would
     // grow one entry per connection for the life of the server). In-flight
-    // frames still complete: their workers hold the StreamContext and flush
+    // frames still complete: their workers hold the StreamContext and book
     // its telemetry; they just report as orphans on this side.
     engine_.close_stream(it->second.stream_id);
     // Release the session's pipeline from the composed design so its

@@ -1,6 +1,6 @@
 // The serve daemon harness: bind, print the port, compress frames for
-// anyone who connects until SIGINT/SIGTERM, then print the serve-layer
-// telemetry on the way out.
+// anyone who connects until SIGINT/SIGTERM, then print the serve, engine
+// and runtime telemetry on the way out.
 //
 //   $ run_serve --port 7033 --workers 8 &
 //   $ serve_soak    # or any SyncClient / loadgen
@@ -15,7 +15,6 @@
 
 #include "resources/device.hpp"
 #include "serve/server.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -62,10 +61,8 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: run_serve [--port N] [--workers N] [--queue N] [--max-sessions N]\n"
           "                 [--realtime-inflight N] [--bulk-inflight N]\n"
-          "                 [--shards N] [--pin-threads 0|1]\n"
           "                 [--rate bpp:<t>|mse:<t>] [--device NAME|none]\n"
           "                 [--http-port N]\n"
-          "  --shards 0 picks one shard per NUMA node (default)\n"
           "  --rate sets the default rate-control preset for sessions whose\n"
           "         HELLO does not negotiate a rate target of its own\n"
           "  --device sets the capacity-planner part profile for admission\n"
@@ -80,8 +77,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<std::uint16_t>(arg_value(argc, argv, "--port", 0));
   options.workers = static_cast<std::size_t>(arg_value(argc, argv, "--workers", 4));
   options.queue_capacity = static_cast<std::size_t>(arg_value(argc, argv, "--queue", 64));
-  options.shards = static_cast<std::size_t>(arg_value(argc, argv, "--shards", 0));
-  options.pin_threads = arg_value(argc, argv, "--pin-threads", 1) != 0;
   options.limits.max_sessions =
       static_cast<std::size_t>(arg_value(argc, argv, "--max-sessions", 512));
   options.limits.realtime_max_inflight =
@@ -132,10 +127,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "run_serve: %s\n", e.what());
     return 1;
   }
-  std::printf("run_serve: listening on 127.0.0.1:%u (%zu workers, %zu shards, queue %zu, "
-              "device %s)\n",
-              server.port(), options.workers, server.engine().shard_count(),
-              options.queue_capacity,
+  std::printf("run_serve: listening on 127.0.0.1:%u (%zu workers, queue %zu, device %s)\n",
+              server.port(), options.workers, options.queue_capacity,
               options.limits.device.has_value() ? options.limits.device->name : "none");
   if (server.http_port() != 0) {
     std::printf("run_serve: scrape endpoint on 127.0.0.1:%u (/healthz, /metrics)\n",
@@ -148,6 +141,6 @@ int main(int argc, char** argv) {
   std::printf("run_serve: caught %s, shutting down\n", sig == SIGINT ? "SIGINT" : "SIGTERM");
 
   server.stop();
-  std::printf("%s\n", swc::telemetry::to_json(server.serve_metrics()).c_str());
+  std::printf("%s\n", server.metrics_json().c_str());
   return 0;
 }

@@ -25,58 +25,6 @@ struct NameTable {
   }
 };
 
-// Global aggregate: chunked atomic cells so flush()/global_snapshot() never
-// take a lock and chunk growth never moves existing cells.
-struct AtomicCell {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> min{std::numeric_limits<std::uint64_t>::max()};
-  std::atomic<std::uint64_t> max{0};
-};
-
-constexpr std::size_t kChunkSize = 64;
-constexpr std::size_t kMaxChunks = 64;  // 4096 metrics; far above any real set
-
-struct GlobalTable {
-  // The chunk pointers are atomics (lock-free read side); grow_mutex only
-  // serializes the one-time chunk allocation, so nothing is GUARDED_BY it.
-  std::array<std::atomic<AtomicCell*>, kMaxChunks> chunks{};
-  swc::Mutex grow_mutex;
-
-  static GlobalTable& instance() {
-    static GlobalTable table;
-    return table;
-  }
-
-  AtomicCell* cell(MetricId id, bool create) {
-    const std::size_t chunk = id / kChunkSize;
-    if (chunk >= kMaxChunks) return nullptr;
-    AtomicCell* base = chunks[chunk].load(std::memory_order_acquire);
-    if (base == nullptr) {
-      if (!create) return nullptr;
-      swc::MutexLock lock(grow_mutex);
-      base = chunks[chunk].load(std::memory_order_acquire);
-      if (base == nullptr) {
-        base = new AtomicCell[kChunkSize];  // intentionally immortal
-        chunks[chunk].store(base, std::memory_order_release);
-      }
-    }
-    return base + (id % kChunkSize);
-  }
-};
-
-void atomic_note_min(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v < cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_note_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -100,39 +48,6 @@ const char* kind_name(MetricKind kind) {
   }
   return "?";
 }
-
-// Global histogram aggregate: one on-demand atomic bucket array per metric,
-// flat-indexed by MetricId. Histogram metrics are few (latency metrics), so
-// a modest flat table suffices; ids beyond it fold only their summary cell.
-constexpr std::size_t kMaxGlobalHistograms = 512;
-
-struct AtomicHistogram {
-  std::array<std::atomic<std::uint64_t>, kHistogramSlots> buckets{};
-};
-
-struct GlobalHistTable {
-  std::array<std::atomic<AtomicHistogram*>, kMaxGlobalHistograms> slots{};
-  swc::Mutex grow_mutex;
-
-  static GlobalHistTable& instance() {
-    static GlobalHistTable table;
-    return table;
-  }
-
-  AtomicHistogram* cell(MetricId id, bool create) {
-    if (id >= kMaxGlobalHistograms) return nullptr;
-    AtomicHistogram* hist = slots[id].load(std::memory_order_acquire);
-    if (hist == nullptr && create) {
-      swc::MutexLock lock(grow_mutex);
-      hist = slots[id].load(std::memory_order_acquire);
-      if (hist == nullptr) {
-        hist = new AtomicHistogram;  // intentionally immortal
-        slots[id].store(hist, std::memory_order_release);
-      }
-    }
-    return hist;
-  }
-};
 
 }  // namespace
 
@@ -165,77 +80,6 @@ std::size_t Registry::metric_count() {
   return NameTable::instance().count.load(std::memory_order_acquire);
 }
 
-void Registry::flush(const Snapshot& snapshot) noexcept {
-  GlobalTable& table = GlobalTable::instance();
-  for (MetricId id = 0; id < snapshot.capacity(); ++id) {
-    const MetricCell* c = snapshot.find(id);
-    if (c == nullptr || c->count == 0) continue;
-    AtomicCell* cell = table.cell(id, /*create=*/true);
-    if (cell == nullptr) continue;  // beyond the chunk table; drop silently
-    cell->count.fetch_add(c->count, std::memory_order_relaxed);
-    cell->sum.fetch_add(c->sum, std::memory_order_relaxed);
-    atomic_note_min(cell->min, c->min);
-    atomic_note_max(cell->max, c->max);
-    // Bucketed histogram state folds beside the summary (lock-free after the
-    // one-time slot allocation).
-    const HistogramCell* h = snapshot.histogram(id);
-    if (h == nullptr || h->count() == 0) continue;
-    AtomicHistogram* hist = GlobalHistTable::instance().cell(id, /*create=*/true);
-    if (hist == nullptr) continue;  // beyond the flat table; summary-only
-    for (std::size_t i = 0; i < kHistogramSlots; ++i) {
-      if (h->buckets[i] != 0) hist->buckets[i].fetch_add(h->buckets[i], std::memory_order_relaxed);
-    }
-  }
-}
-
-Snapshot Registry::global_snapshot() {
-  GlobalTable& table = GlobalTable::instance();
-  Snapshot snap;
-  const std::size_t known = metric_count();
-  for (MetricId id = 0; id < known; ++id) {
-    AtomicCell* cell = table.cell(id, /*create=*/false);
-    if (cell == nullptr) continue;
-    const std::uint64_t count = cell->count.load(std::memory_order_relaxed);
-    if (count == 0) continue;
-    MetricCell c;
-    c.count = count;
-    c.sum = cell->sum.load(std::memory_order_relaxed);
-    c.min = cell->min.load(std::memory_order_relaxed);
-    c.max = cell->max.load(std::memory_order_relaxed);
-    snap.merge_cell(id, c);
-    AtomicHistogram* hist = GlobalHistTable::instance().cell(id, /*create=*/false);
-    if (hist != nullptr) {
-      HistogramCell h;
-      h.summary = c;
-      for (std::size_t i = 0; i < kHistogramSlots; ++i) {
-        h.buckets[i] = hist->buckets[i].load(std::memory_order_relaxed);
-      }
-      if (h.count() != 0) snap.merge_histogram(id, h);
-    }
-  }
-  return snap;
-}
-
-void Registry::reset_global() noexcept {
-  GlobalTable& table = GlobalTable::instance();
-  for (std::size_t chunk = 0; chunk < kMaxChunks; ++chunk) {
-    AtomicCell* base = table.chunks[chunk].load(std::memory_order_acquire);
-    if (base == nullptr) continue;
-    for (std::size_t i = 0; i < kChunkSize; ++i) {
-      base[i].count.store(0, std::memory_order_relaxed);
-      base[i].sum.store(0, std::memory_order_relaxed);
-      base[i].min.store(std::numeric_limits<std::uint64_t>::max(), std::memory_order_relaxed);
-      base[i].max.store(0, std::memory_order_relaxed);
-    }
-  }
-  GlobalHistTable& hists = GlobalHistTable::instance();
-  for (std::size_t id = 0; id < kMaxGlobalHistograms; ++id) {
-    AtomicHistogram* hist = hists.slots[id].load(std::memory_order_acquire);
-    if (hist == nullptr) continue;
-    for (auto& bucket : hist->buckets) bucket.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::uint64_t Snapshot::value(MetricId id) const noexcept {
   const MetricCell* c = find(id);
   if (c == nullptr || c->count == 0) return 0;
@@ -252,10 +96,6 @@ void Snapshot::merge(const Snapshot& other) {
     if (h.count() != 0) hist_cell(id).merge(h);
   }
 }
-
-void Snapshot::merge_cell(MetricId id, const MetricCell& c) { cell(id).merge(c); }
-
-void Snapshot::merge_histogram(MetricId id, const HistogramCell& c) { hist_cell(id).merge(c); }
 
 HistogramCell& Snapshot::hist_cell(MetricId id) {
   for (auto& [hid, cell] : hists_) {

@@ -18,12 +18,9 @@
 // gauges stay live in both modes: bits/windows accounting is functional
 // output (BRAM provisioning depends on it), not optional observability.
 //
-// Global aggregate. Registry::flush(snapshot) folds a finished run into a
-// process-wide table of atomic cells; Registry::global_snapshot() reads it
-// back without taking any lock (relaxed atomics, monotonic counters), so a
-// monitoring thread can sample while workers run — TSan-clean by
-// construction. The per-slot trace rings are likewise single-writer atomic
-// arrays.
+// The per-thread trace rings are single-writer atomic arrays, so a
+// monitoring thread can read them while workers run — TSan-clean by
+// construction.
 //
 // The paper connection: Tables I–V and Fig. 13 are per-stage accounting
 // (bits per row, BRAMs per block, cycles per pixel). This layer is the
@@ -211,9 +208,6 @@ class Snapshot {
   }
 
   void merge(const Snapshot& other);
-  // Fold one externally built cell (used by the global-aggregate reader).
-  void merge_cell(MetricId id, const MetricCell& c);
-  void merge_histogram(MetricId id, const HistogramCell& c);
   void clear() noexcept {
     cells_.clear();
     hists_.clear();
@@ -241,7 +235,7 @@ struct SpanEvent {
   std::uint64_t duration_ns = 0;
 };
 
-// Process-global metric name table plus the lock-free aggregate.
+// Process-global metric name table.
 class Registry {
  public:
   // Interns (or finds) a metric; idempotent, thread-safe, cold-path.
@@ -249,14 +243,6 @@ class Registry {
   // Name/kind/unit for an interned id (copies; safe against later interns).
   [[nodiscard]] static MetricInfo info(MetricId id);
   [[nodiscard]] static std::size_t metric_count();
-
-  // Folds a finished run's snapshot into the process-wide aggregate using
-  // relaxed atomics — callable from any worker without coordination.
-  static void flush(const Snapshot& snapshot) noexcept;
-  // Point-in-time copy of the aggregate; lock-free with respect to flush().
-  [[nodiscard]] static Snapshot global_snapshot();
-  // Test/bench hook: zero the aggregate (not the name table).
-  static void reset_global() noexcept;
 };
 
 // Monotonic nanosecond clock shared by every span/latency measurement.

@@ -222,6 +222,30 @@ TEST(FrameServer, CloseStreamRetiresSlotAndReusesId) {
   server.wait_idle();
 }
 
+// stats().metrics counts every completed frame since start, so a closed
+// stream's engine counters stay in it (GET /metrics and STATS_REPLY never
+// go backwards when a session ends); only its per-stream snapshot leaves.
+TEST(FrameServer, StatsKeepEngineTotalsOfClosedStreams) {
+  constexpr std::size_t kWidth = 24, kHeight = 20, kWindow = 4, kFrames = 3;
+  FrameServer server({.workers = 2, .queue_capacity = 8});
+  const auto id = server.open_stream({.name = "closed",
+                                      .kind = EngineKind::Compressed,
+                                      .engine = make_config(kWidth, kHeight, kWindow),
+                                      .keep_output = false});
+  const auto frame = image::make_natural_image(kWidth, kHeight, {.seed = 4});
+  for (std::size_t f = 0; f < kFrames; ++f) ASSERT_TRUE(server.submit(id, frame));
+  server.wait_idle();
+
+  const auto windows = core::EngineMetricIds::get().windows;
+  const std::uint64_t expected = kFrames * (kWidth - kWindow + 1) * (kHeight - kWindow + 1);
+  EXPECT_EQ(server.stats().metrics.sum(windows), expected);
+
+  ASSERT_TRUE(server.close_stream(id));
+  const auto snap = server.stats();
+  EXPECT_TRUE(snap.streams.empty());
+  EXPECT_EQ(snap.metrics.sum(windows), expected);
+}
+
 TEST(FrameServer, ReentrantEngineProducesIdenticalResultsAcrossThreads) {
   // The refactored const engines are the foundation of the runtime: hammer
   // one engine instance from several raw threads and require identical

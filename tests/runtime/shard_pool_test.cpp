@@ -1,7 +1,8 @@
-// Sharded-runtime suite (ctest -L shard): the Block/Reject/shutdown submit
-// contract, strand ordering, work stealing under skew, arena recycling
-// across stream lifetimes, the 1-shard differential against a direct engine
-// run, stripe fan-out on a saturated pool, and a TSan-targeted stress
+// Worker-pool suite (ctest -L shard): the Block/Reject/shutdown submit
+// contract, strand ordering, idle workers draining a hot strand while
+// others are wedged, arena recycling across stream lifetimes, the
+// differential against a direct engine run, stripe fan-out on a saturated
+// pool, shutdown racing live producers, and a TSan-targeted stress
 // mirroring runtime_stress. CMake adds dedicated ASan/TSan entries running
 // this suite when the build is configured with -DSWC_SANITIZE.
 
@@ -31,12 +32,6 @@ core::EngineConfig make_config(std::size_t w, std::size_t h, std::size_t n,
   config.spec = {w, h, n};
   config.codec.threshold = threshold;
   return config;
-}
-
-std::uint64_t total_steals(const ShardPool& pool) {
-  std::uint64_t steals = 0;
-  for (const auto& s : pool.shard_stats()) steals += s.steals;
-  return steals;
 }
 
 // Parks every worker on a job that blocks until the gate opens: the
@@ -78,7 +73,7 @@ class Gate {
 // Submit contract, one worker parked on a gate: the worker holds no budget,
 // so the budget counts only queued jobs.
 TEST(ShardPool, RejectFailsFastWhenBudgetIsSpent) {
-  ShardPool pool({.workers = 1, .queue_capacity = 2, .shards = 1, .pin_threads = false});
+  ShardPool pool({.workers = 1, .queue_capacity = 2});
   Gate gate;
   gate.park_workers(pool);
   auto strand = pool.make_strand();
@@ -97,7 +92,7 @@ TEST(ShardPool, RejectFailsFastWhenBudgetIsSpent) {
 }
 
 TEST(ShardPool, BlockWaitsForBudget) {
-  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  ShardPool pool({.workers = 1, .queue_capacity = 1});
   Gate gate;
   gate.park_workers(pool);
   std::atomic<int> ran{0};
@@ -120,7 +115,7 @@ TEST(ShardPool, BlockWaitsForBudget) {
 }
 
 TEST(ShardPool, ShutdownReleasesBlockedSubmitter) {
-  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  ShardPool pool({.workers = 1, .queue_capacity = 1});
   Gate gate;
   gate.park_workers(pool);
   std::atomic<int> ran{0};
@@ -145,7 +140,7 @@ TEST(ShardPool, ShutdownReleasesBlockedSubmitter) {
 }
 
 TEST(ShardPool, WaitIdleIsACompletionBarrier) {
-  ShardPool pool({.workers = 4, .queue_capacity = 16, .shards = 2, .pin_threads = false});
+  ShardPool pool({.workers = 4, .queue_capacity = 16});
   auto strand = pool.make_strand();
   std::atomic<int> done{0};
   for (int i = 0; i < 32; ++i) {
@@ -163,7 +158,7 @@ TEST(ShardPool, WaitIdleIsACompletionBarrier) {
 }
 
 TEST(ShardPool, SubmitAfterShutdownReturnsShutDown) {
-  ShardPool pool({.workers = 2, .queue_capacity = 4, .pin_threads = false});
+  ShardPool pool({.workers = 2, .queue_capacity = 4});
   auto strand = pool.make_strand();
   pool.shutdown();
   EXPECT_EQ(pool.submit_outcome([] {}), SubmitOutcome::ShutDown);
@@ -174,8 +169,8 @@ TEST(ShardPool, SubmitAfterShutdownReturnsShutDown) {
 // A budget of 0 (run_serve --queue 0) would refuse every Reject submit and
 // park every Block submit forever; the pool clamps it to 1.
 TEST(ShardPool, ZeroQueueCapacityIsClampedToOne) {
-  ShardPool pool({.workers = 1, .queue_capacity = 0, .shards = 1, .pin_threads = false});
-  EXPECT_EQ(pool.queue_capacity_per_shard(), 1u);
+  ShardPool pool({.workers = 1, .queue_capacity = 0});
+  EXPECT_EQ(pool.queue_capacity(), 1u);
   std::atomic<int> ran{0};
   EXPECT_EQ(pool.submit_outcome([&] { ++ran; }, SubmitPolicy::Reject), SubmitOutcome::Accepted);
 
@@ -206,8 +201,7 @@ TEST(ShardPool, StripedRunCompletesWhenPoolIsSaturated) {
   constexpr std::size_t kBudget = 2;
   for (const bool budget_spent : {true, false}) {
     SCOPED_TRACE(budget_spent ? "helpers refused" : "helpers queued behind the gate");
-    ShardPool pool(
-        {.workers = 2, .queue_capacity = kBudget, .shards = 1, .pin_threads = false});
+    ShardPool pool({.workers = 2, .queue_capacity = kBudget});
     Gate gate;
     gate.park_workers(pool);
     if (budget_spent) {
@@ -230,13 +224,13 @@ TEST(ShardPool, StripedRunCompletesWhenPoolIsSaturated) {
   }
 }
 
-// A stream's frames must complete in submission order even when the pool has
-// several shards and idle workers steal the stream's strand token between
-// frames: at most one frame of a stream runs at a time, and completions are
-// published before the token reposts.
+// A stream's frames must complete in submission order even though its strand
+// token may land on a different worker after every frame: at most one frame
+// of a stream runs at a time, and completions are published before the
+// token reposts.
 TEST(ShardPool, StreamCompletionsArriveInSubmitOrder) {
   constexpr std::uint64_t kFrames = 200;
-  FrameServer server({.workers = 4, .queue_capacity = 64, .shards = 2, .pin_threads = false});
+  FrameServer server({.workers = 4, .queue_capacity = 64});
   const auto config = make_config(16, 16, 4);
   const auto id = server.open_stream(
       {.name = "ordered", .kind = EngineKind::Compressed, .engine = config, .keep_output = false});
@@ -258,65 +252,48 @@ TEST(ShardPool, StreamCompletionsArriveInSubmitOrder) {
   }
 }
 
-// 100:1 skew: both of shard 0's workers are wedged on blocker jobs while a
-// hot strand homed on shard 0 holds 100 queued frames and shard 1 holds one.
-// The only way the hot strand's work can finish is shard 1's workers
-// stealing its token from shard 0's run queue — once per frame, because the
-// token reposts to its home shard after every job.
-TEST(ShardPool, IdleShardStealsFromBusyShardUnderSkew) {
+// 100:1 skew: two of four workers are wedged on blocker jobs while a hot
+// strand holds 100 queued jobs and a cold strand one. The two idle workers
+// must drain both strands — the hot token reposts to the back of the queue
+// after every job, and whichever idle worker is free picks it up next.
+TEST(ShardPool, IdleWorkersDrainHotStrandWhileOthersAreWedged) {
   constexpr std::uint64_t kHotJobs = 100;
-  ShardPool pool({.workers = 4, .queue_capacity = 256, .shards = 2, .pin_threads = false});
-  ASSERT_EQ(pool.shard_count(), 2u);
+  ShardPool pool({.workers = 4, .queue_capacity = 256});
 
   std::atomic<bool> release{false};
+  std::atomic<int> wedged{0};
   std::atomic<std::uint64_t> quick_done{0};
 
-  // Wedge shard 0: one blocker per shard-0 worker, on distinct strands so
-  // both run simultaneously.
+  // Two blockers on distinct strands, so both run simultaneously.
   for (int b = 0; b < 2; ++b) {
-    auto blocker = pool.make_strand(0);
-    ASSERT_TRUE(pool.submit(blocker, [&] {
+    ASSERT_TRUE(pool.submit(pool.make_strand(), [&] {
+      ++wedged;
       while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
     }));
   }
-
-  auto hot = pool.make_strand(0);
-  ASSERT_EQ(hot->home_shard(), 0u);
+  while (wedged.load() < 2) std::this_thread::yield();
+  auto hot = pool.make_strand();
   for (std::uint64_t j = 0; j < kHotJobs; ++j) {
     ASSERT_TRUE(pool.submit(hot, [&] { ++quick_done; }));
   }
-  auto cold = pool.make_strand(1);
-  ASSERT_EQ(cold->home_shard(), 1u);
-  ASSERT_TRUE(pool.submit(cold, [&] { ++quick_done; }));
+  ASSERT_TRUE(pool.submit(pool.make_strand(), [&] { ++quick_done; }));
 
-  // All quick jobs must drain while the blockers still wedge two workers —
-  // the load only balances if idle workers steal across the shard boundary.
+  // All quick jobs must drain while the blockers still wedge two workers.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (quick_done.load() < kHotJobs + 1) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "stealing never happened";
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "idle workers never drained";
     std::this_thread::yield();
   }
   release.store(true, std::memory_order_release);
   pool.wait_idle();
-
-  const auto stats = pool.shard_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  // In the common interleaving shard 0's own workers pick up the blockers
-  // and shard 1 steals the hot token once per frame (~100 steals). A shard-1
-  // worker may instead steal a blocker before shard 0 wakes; even then the
-  // blocker itself crossed the shard boundary, so at least one steal is the
-  // interleaving-independent invariant.
-  EXPECT_GE(total_steals(pool), 1u);
-  std::uint64_t executed = 0;
-  for (const auto& s : stats) executed += s.executed;
-  EXPECT_EQ(executed, kHotJobs + 3);  // 100 hot + 1 cold + 2 blockers
+  EXPECT_EQ(pool.stats().executed, kHotJobs + 3);  // 100 hot + 1 cold + 2 blockers
 }
 
 // Arena buffers outlive the stream that produced them: frames recycled while
 // stream A was open must be handed back out (no fresh allocation) to a
 // stream B opened after A closed.
 TEST(ShardPool, ArenaRecyclesPayloadsAcrossStreamLifetimes) {
-  FrameServer server({.workers = 2, .queue_capacity = 16, .shards = 1, .pin_threads = false});
+  FrameServer server({.workers = 2, .queue_capacity = 16});
   const auto config = make_config(32, 32, 4);
   const auto frame = image::make_natural_image(32, 32, {.seed = 3});
 
@@ -357,7 +334,7 @@ TEST(ShardPool, ArenaRecyclesPayloadsAcrossStreamLifetimes) {
 // returned while an acquired one is held neither take its place nor make
 // the arena drop it later.
 TEST(ShardPool, ArenaReleasesPayloadsItDidNotHandOut) {
-  FrameServer server({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  FrameServer server({.workers = 1, .queue_capacity = 1});
   const auto stream = server.open_stream({.name = "foreign",
                                           .kind = EngineKind::Compressed,
                                           .engine = make_config(64, 64, 4),
@@ -408,9 +385,9 @@ TEST(ShardPool, ArenaReleasesPayloadsItDidNotHandOut) {
   EXPECT_EQ(arena().dropped, 18u);  // every outside payload
 }
 
-// The 1-shard pool must be behaviorally identical to the pre-shard global
-// queue: same reconstruction bits, same window counts as a direct reentrant
-// engine run, at lossless and lossy thresholds alike.
+// Frames served through the pool must be identical to a direct reentrant
+// engine run: same reconstruction bits, same window counts, at lossless and
+// lossy thresholds alike.
 TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
   for (const int threshold : {0, 2}) {
     const auto config = make_config(40, 40, 8, threshold);
@@ -419,8 +396,7 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
     const auto expected = direct.run_reentrant(
         frame, [](std::size_t, std::size_t, const core::WindowView&) {});
 
-    FrameServer server({.workers = 4, .queue_capacity = 8, .shards = 1, .pin_threads = false});
-    ASSERT_EQ(server.shard_count(), 1u);
+    FrameServer server({.workers = 4, .queue_capacity = 8});
     const auto id = server.open_stream(
         {.name = "diff", .kind = EngineKind::Compressed, .engine = config});
 
@@ -436,39 +412,36 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
 
     for (const auto& result : results) {
       EXPECT_EQ(result.reconstructed, expected.reconstructed)
-          << "threshold " << threshold << ": sharded run diverged from direct engine";
+          << "threshold " << threshold << ": pooled run diverged from direct engine";
       EXPECT_EQ(result.stats.windows_emitted(), expected.stats.windows_emitted());
     }
   }
 }
 
 // TSan-targeted stress mirroring RuntimeStress.ManySmallFramesAcrossEight-
-// Workers on the sharded pool: several producers over strands on forced
-// shards, a stats poller racing the workers (shard_stats + utilization +
-// per-stream queue probe), striped submissions mixed in, and conservation
-// asserts at the end. No sleeps, no timing assumptions.
+// Workers: several producers over strands, a stats poller racing the
+// workers (pool stats + utilization + queue probe), striped submissions
+// mixed in, and conservation asserts at the end. No sleeps, no timing
+// assumptions.
 TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kFramesPerProducer = 40;
 
-  FrameServer server({.workers = 8, .queue_capacity = 32, .shards = 2, .pin_threads = false});
+  FrameServer server({.workers = 8, .queue_capacity = 32});
   const auto config = make_config(16, 16, 4);
   const auto frame = image::make_natural_image(16, 16, {.seed = 42});
   const auto big = make_config(48, 48, 8);
   const auto big_frame = image::make_natural_image(48, 48, {.seed = 2});
 
-  // Skewed placement: every producer stream is hinted onto shard 0, the
-  // striped stream onto shard 1 — stealing and cross-shard stats run hot.
   std::vector<std::uint32_t> stream_ids;
   for (std::size_t i = 0; i < kProducers; ++i) {
     stream_ids.push_back(server.open_stream({.name = "s" + std::to_string(i),
                                              .kind = EngineKind::Compressed,
                                              .engine = config,
-                                             .keep_output = false,
-                                             .shard_hint = 0}));
+                                             .keep_output = false}));
   }
-  const auto big_id = server.open_stream(
-      {.name = "big", .kind = EngineKind::Compressed, .engine = big, .shard_hint = 1});
+  const auto big_id =
+      server.open_stream({.name = "big", .kind = EngineKind::Compressed, .engine = big});
 
   std::atomic<std::uint64_t> callbacks{0};
   std::atomic<bool> stop_polling{false};
@@ -476,7 +449,7 @@ TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
     while (!stop_polling.load()) {
       const auto snap = server.stats();
       EXPECT_LE(snap.frames_completed, snap.frames_submitted);
-      EXPECT_EQ(snap.shards.size(), server.shard_count());
+      EXPECT_EQ(snap.shards.size(), 1u);
       for (const auto& shard : snap.shards) {
         EXPECT_LE(shard.queue_depth, shard.queue_capacity);
         for (const double u : shard.worker_utilization) {
@@ -484,7 +457,7 @@ TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
           EXPECT_LE(u, 1.0);
         }
       }
-      (void)server.queue_depth_for(stream_ids[0]);
+      EXPECT_LE(server.queue_depth(), server.queue_capacity());
       std::this_thread::yield();
     }
   });
@@ -518,17 +491,17 @@ TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
 }
 
 // Shutdown with queued strand tokens: every accepted job still executes
-// (drain-in-place), and the pool joins cleanly with producers racing it.
+// (drain-in-place), and the pool joins cleanly.
 TEST(ShardPoolStress, ShutdownDrainsEveryAcceptedJob) {
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> executed{0};
     {
-      ShardPool pool({.workers = 3, .queue_capacity = 64, .shards = 2, .pin_threads = false});
+      ShardPool pool({.workers = 3, .queue_capacity = 64});
       std::vector<std::thread> producers;
       for (int p = 0; p < 3; ++p) {
-        producers.emplace_back([&, p] {
-          auto strand = pool.make_strand(static_cast<std::size_t>(p));
+        producers.emplace_back([&] {
+          auto strand = pool.make_strand();
           for (int j = 0; j < 50; ++j) {
             if (pool.submit(strand, [&] { ++executed; }, SubmitPolicy::Block)) ++accepted;
           }
@@ -541,19 +514,41 @@ TEST(ShardPoolStress, ShutdownDrainsEveryAcceptedJob) {
   }
 }
 
-// Sanity on the steal counter's monotonic aggregation (used by telemetry).
-TEST(ShardPool, StealAndParkCountersAggregate) {
-  ShardPool pool({.workers = 2, .queue_capacity = 8, .shards = 2, .pin_threads = false});
-  auto strand = pool.make_strand(0);
-  for (int j = 0; j < 16; ++j) {
-    ASSERT_TRUE(pool.submit(strand, [] {}));
+// Shutdown while producers are still submitting: Block submitters on
+// strands and plain ones keep offering jobs until they are told ShutDown,
+// and every job the pool accepted — including one whose producer was
+// between budget and enqueue when the pool closed — runs before shutdown()
+// returns. A worker that saw such a producer's window open on a closed pool
+// sleeps until that producer wakes it; if the wake-up missed it, shutdown()
+// would hang joining it.
+TEST(ShardPoolStress, ShutdownRacingProducersLosesNoAcceptedJob) {
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kAcceptsBeforeShutdown = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> executed{0};
+    {
+      ShardPool pool({.workers = 3, .queue_capacity = 4});
+      std::vector<std::thread> producers;
+      for (int p = 0; p < 4; ++p) {
+        producers.emplace_back([&, on_strand = p < 2] {
+          const auto strand = on_strand ? pool.make_strand() : nullptr;
+          for (;;) {
+            auto job = [&] { ++executed; };
+            const SubmitOutcome outcome = on_strand ? pool.submit_outcome(strand, job)
+                                                    : pool.submit_outcome(job);
+            if (outcome == SubmitOutcome::ShutDown) return;
+            EXPECT_EQ(outcome, SubmitOutcome::Accepted);
+            ++accepted;
+          }
+        });
+      }
+      while (accepted.load() < kAcceptsBeforeShutdown) std::this_thread::yield();
+      pool.shutdown();
+      for (auto& t : producers) t.join();
+    }
+    ASSERT_EQ(executed.load(), accepted.load()) << "round " << round << " lost accepted jobs";
   }
-  pool.wait_idle();
-  const auto stats = pool.shard_stats();
-  std::uint64_t executed = 0;
-  for (const auto& s : stats) executed += s.executed;
-  EXPECT_EQ(executed, 16u);
-  EXPECT_EQ(total_steals(pool), stats[0].steals + stats[1].steals);
 }
 
 }  // namespace

@@ -83,10 +83,10 @@ TEST(RuntimeStress, ManySmallFramesAcrossEightWorkers) {
 
 TEST(RuntimeStress, ConcurrentReentrantScansWithLiveTelemetryReader) {
   // N workers drive one const engine's run_reentrant concurrently, each
-  // flushing its run snapshot into the process-global telemetry aggregate,
-  // while a monitor thread samples Registry::global_snapshot() the whole
-  // time. TSan verifies the sampling is race-free; the final assertions
-  // verify nothing was lost or double-counted.
+  // writing stage spans into its own trace ring, while a monitor thread
+  // reads every ring through telemetry::recent_spans() the whole time. TSan
+  // verifies the reading is race-free; the final assertions verify the
+  // runs' own snapshots lost or double-counted nothing.
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kRunsPerWorker = 8;
   constexpr std::size_t kSize = 24;
@@ -95,28 +95,31 @@ TEST(RuntimeStress, ConcurrentReentrantScansWithLiveTelemetryReader) {
   const core::CompressedEngine engine(make_config(kSize, kSize, kWindow));
   const auto frame = image::make_natural_image(kSize, kSize, {.seed = 5});
   const auto& ids = core::EngineMetricIds::get();
-  telemetry::Registry::reset_global();
 
   std::atomic<bool> stop_monitor{false};
   std::thread monitor([&] {
-    std::uint64_t last = 0;
     while (!stop_monitor.load()) {
-      const auto global = telemetry::Registry::global_snapshot();
-      const std::uint64_t windows = global.sum(ids.windows);
-      EXPECT_GE(windows, last);  // counters are monotonic under flushes
-      last = windows;
+      const auto events = telemetry::recent_spans();
+      const std::size_t interned = telemetry::Registry::metric_count();
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_LT(events[i].metric, interned);
+        if (i > 0) {
+          EXPECT_LE(events[i - 1].begin_ns, events[i].begin_ns);  // oldest first
+        }
+      }
       std::this_thread::yield();
     }
   });
 
+  std::vector<telemetry::Snapshot> per_worker(kWorkers);
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&] {
+    workers.emplace_back([&, w] {
       for (std::size_t r = 0; r < kRunsPerWorker; ++r) {
         const auto result = engine.run_reentrant(
             frame, [](std::size_t, std::size_t, const core::WindowView&) {});
         EXPECT_EQ(result.reconstructed, frame);  // threshold 0 stays lossless
-        telemetry::Registry::flush(result.stats.metrics);
+        per_worker[w].merge(result.stats.metrics);
       }
     });
   }
@@ -124,11 +127,11 @@ TEST(RuntimeStress, ConcurrentReentrantScansWithLiveTelemetryReader) {
   stop_monitor = true;
   monitor.join();
 
-  const auto global = telemetry::Registry::global_snapshot();
+  telemetry::Snapshot total;
+  for (const auto& snapshot : per_worker) total.merge(snapshot);
   const std::uint64_t windows_per_run = (kSize - kWindow + 1) * (kSize - kWindow + 1);
-  EXPECT_EQ(global.sum(ids.windows), kWorkers * kRunsPerWorker * windows_per_run);
-  EXPECT_EQ(global.sum(ids.rows), kWorkers * kRunsPerWorker * (kSize - kWindow));
-  telemetry::Registry::reset_global();
+  EXPECT_EQ(total.sum(ids.windows), kWorkers * kRunsPerWorker * windows_per_run);
+  EXPECT_EQ(total.sum(ids.rows), kWorkers * kRunsPerWorker * (kSize - kWindow));
 }
 
 TEST(RuntimeStress, StripedAndStreamedFramesCoexist) {

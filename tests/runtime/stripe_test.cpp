@@ -173,7 +173,7 @@ TEST(StripeEquivalencePooled, PooledRunMatchesSequentialRun) {
   const auto config = make_config(w, h, n, /*threshold=*/0);
   const auto img = image::make_natural_image(w, h, {.seed = 21});
 
-  ShardPool pool({.workers = 4, .queue_capacity = 16, .pin_threads = false});
+  ShardPool pool({.workers = 4, .queue_capacity = 16});
   const auto pooled = run_compressed_striped(config, img, 8, &pool);
   const auto sequential = run_compressed_striped(config, img, 8, nullptr);
 
@@ -190,7 +190,7 @@ TEST(StripeEquivalencePooled, AdversarialContentStaysExact) {
   const std::size_t w = 32, h = 28, n = 4;
   const auto config = make_config(w, h, n, /*threshold=*/0);
   const auto img = image::make_checkerboard_image(w, h, 1);
-  ShardPool pool({.workers = 3, .queue_capacity = 8, .pin_threads = false});
+  ShardPool pool({.workers = 3, .queue_capacity = 8});
   const auto striped = run_compressed_striped(config, img, 6, &pool);
   EXPECT_EQ(striped.reconstructed, img);
 }

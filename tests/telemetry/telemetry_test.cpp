@@ -1,6 +1,6 @@
 // Telemetry core: metric interning, snapshot accumulation/merge semantics
-// per metric kind, scoped Span timers and their trace ring, the lock-free
-// global aggregate under concurrent flushers and readers, and JSON export.
+// per metric kind, scoped Span timers and their trace ring, histograms, and
+// JSON export.
 // Metric names here use a "test." prefix so they never collide with the
 // engine/hw metric sets interned by other code in this process.
 
@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace swc::telemetry {
 namespace {
@@ -152,63 +150,6 @@ TEST(TelemetrySpan, TraceRingRetainsRecentEvents) {
   EXPECT_EQ(matched, kSpans);
 }
 
-TEST(TelemetryGlobal, FlushAccumulatesAndResetClears) {
-  const MetricId counter = Registry::metric("test.global.basic", MetricKind::Counter);
-  Registry::reset_global();
-
-  Snapshot run;
-  run.add(counter, 9);
-  Registry::flush(run);
-  Registry::flush(run);
-
-  const Snapshot global = Registry::global_snapshot();
-  EXPECT_EQ(global.sum(counter), 18u);
-  EXPECT_EQ(global.count(counter), 2u);
-
-  Registry::reset_global();
-  EXPECT_EQ(Registry::global_snapshot().sum(counter), 0u);
-}
-
-TEST(TelemetryGlobal, ConcurrentFlushersWithLiveReaderConserveTotals) {
-  const MetricId counter = Registry::metric("test.global.concurrent", MetricKind::Counter);
-  const MetricId gauge = Registry::metric("test.global.concurrent.hw", MetricKind::Gauge);
-  Registry::reset_global();
-
-  constexpr std::size_t kWorkers = 4;
-  constexpr std::size_t kFlushesPerWorker = 200;
-
-  std::atomic<bool> stop_reading{false};
-  std::thread reader([&] {
-    // Lock-free sampling while workers flush: sums must only ever grow.
-    std::uint64_t last = 0;
-    while (!stop_reading.load()) {
-      const std::uint64_t now = Registry::global_snapshot().sum(counter);
-      EXPECT_GE(now, last);
-      last = now;
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      for (std::size_t f = 0; f < kFlushesPerWorker; ++f) {
-        Snapshot run;
-        run.add(counter, 3);
-        run.note_max(gauge, w + 1);
-        Registry::flush(run);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  stop_reading = true;
-  reader.join();
-
-  const Snapshot global = Registry::global_snapshot();
-  EXPECT_EQ(global.sum(counter), 3u * kWorkers * kFlushesPerWorker);
-  EXPECT_EQ(global.max(gauge), kWorkers);  // max of per-worker high-water marks
-}
-
 TEST(TelemetryJson, EmitsOnlyPopulatedMetricsWithKindAndUnit) {
   const MetricId used = Registry::metric("test.json.used", MetricKind::Gauge, "bits");
   (void)Registry::metric("test.json.unused", MetricKind::Counter);
@@ -307,25 +248,6 @@ TEST(TelemetryHistogram, SnapshotMergeCombinesHistograms) {
   EXPECT_EQ(a.histogram(lat)->count(), 200u);
   EXPECT_LE(a.percentile(lat, 0.25), 200.0);
   EXPECT_GE(a.percentile(lat, 0.75), 9'000.0);
-}
-
-TEST(TelemetryHistogram, GlobalFlushRoundTripsBuckets) {
-  const MetricId lat = Registry::metric("test.hist.global", MetricKind::Histogram, "ns");
-  Registry::reset_global();
-
-  Snapshot run;
-  for (std::uint64_t v = 1; v <= 1'000; ++v) run.note_hist(lat, v * 10);
-  Registry::flush(run);
-  Registry::flush(run);  // second run doubles every bucket
-
-  const Snapshot global = Registry::global_snapshot();
-  ASSERT_NE(global.histogram(lat), nullptr);
-  EXPECT_EQ(global.histogram(lat)->count(), 2'000u);
-  EXPECT_NEAR(global.percentile(lat, 0.5), run.percentile(lat, 0.5),
-              global.percentile(lat, 0.5) * 0.13);
-
-  Registry::reset_global();
-  EXPECT_EQ(Registry::global_snapshot().histogram(lat), nullptr);
 }
 
 TEST(TelemetryHistogram, JsonCarriesPercentilesForHistogramMetrics) {

@@ -65,7 +65,7 @@ LOOP_REQUIRES_RE = re.compile(r"SWC_REQUIRES\(\s*loop_role\s*\)")
 BLOCKING_RES = [
     (re.compile(r"\bwait_idle\s*\("), "wait_idle() blocks on the engine barrier"),
     (re.compile(r"\.\s*join\s*\("), ".join() blocks on thread exit"),
-    (re.compile(r"\bSubmitPolicy::Block\b"), "SubmitPolicy::Block blocks on the shard queue"),
+    (re.compile(r"\bSubmitPolicy::Block\b"), "SubmitPolicy::Block blocks on the run queue"),
 ]
 CALLEE_RE = re.compile(r"\b([a-z_]\w*)\s*\(")
 CPP_KEYWORDS = frozenset(
