@@ -8,8 +8,14 @@
 // each lifting term as a deterministic function of already-stored bytes, so
 // the inverse recomputes the identical term from the identical bytes and
 // subtracts it exactly — byte-lossless regardless of wrap-around. Detail
-// bytes are sign-extended (int8) inside the update term, matching how the
-// column codec's NBits width model treats stored bytes as two's-complement.
+// bytes are sign-extended (int8) wherever a lifting term reads them, matching
+// how the column codec's NBits width model treats stored bytes as
+// two's-complement: in every update, and in the vertical predict, whose
+// region rows the horizontal pass leaves as [low-pass | detail]. Read as
+// unsigned, a detail of -1 next to a positive one would move the vertical
+// prediction by 128; T = 0 would still round-trip (the inverse repeats the
+// misreading), but a threshold that moves a detail across zero would move
+// the reconstructed odd row by about 128.
 //
 // Levels recurse on the LL quadrant (Mallat layout) while both dimensions
 // stay even, capped at 3 — an 8-row band gets the full 3-level pyramid. The
@@ -61,6 +67,13 @@ void widen_u8(const std::uint8_t* in, std::int32_t* out, std::size_t m) {
 // Detail bytes carry signed residuals: sign-extend before the update term.
 void widen_s8(const std::uint8_t* in, std::int32_t* out, std::size_t m) {
   for (std::size_t i = 0; i < m; ++i) out[i] = static_cast<std::int8_t>(in[i]);
+}
+
+// A region row after the horizontal pass: low-pass lanes [0, m/2), detail
+// lanes [m/2, m).
+void widen_row(const std::uint8_t* in, std::int32_t* out, std::size_t m) {
+  widen_u8(in, out, m / 2);
+  widen_s8(in + m / 2, out + m / 2, m - m / 2);
 }
 
 void narrow_u8(const std::int32_t* in, std::uint8_t* out, std::size_t m) {
@@ -155,8 +168,8 @@ void forward_level(LegallScratch& st, std::uint8_t* buf, std::size_t w, std::siz
     st.c32.resize(cur_w);
     st.o32.resize(cur_w);
     st.p32.resize(cur_w);
-    widen_u8(even, st.a32.data(), cur_w);
-    widen_u8(even_next, st.b32.data(), cur_w);
+    widen_row(even, st.a32.data(), cur_w);
+    widen_row(even_next, st.b32.data(), cur_w);
     widen_u8(odd, st.c32.data(), cur_w);
     kernels.legall_predict(st.a32.data(), st.b32.data(), st.c32.data(), st.o32.data(), cur_w, -1);
     narrow_u8(st.o32.data(), d_out, cur_w);
@@ -215,8 +228,8 @@ void inverse_level(LegallScratch& st, std::uint8_t* buf, std::size_t w, std::siz
     st.b32.resize(cur_w);
     st.c32.resize(cur_w);
     st.o32.resize(cur_w);
-    widen_u8(even, st.a32.data(), cur_w);
-    widen_u8(even_next, st.b32.data(), cur_w);
+    widen_row(even, st.a32.data(), cur_w);
+    widen_row(even_next, st.b32.data(), cur_w);
     widen_s8(d_cur, st.c32.data(), cur_w);
     kernels.legall_predict(st.a32.data(), st.b32.data(), st.c32.data(), st.o32.data(), cur_w, +1);
     narrow_u8(st.o32.data(), buf + (2 * i + 1) * w, cur_w);

@@ -1,6 +1,7 @@
 #include "core/color.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "wavelet/haar.hpp"
@@ -8,13 +9,9 @@
 namespace swc::core {
 namespace {
 
-int min_bits_wide(int v) {
-  for (int n = 1; n <= 15; ++n) {
-    const int lo = -(1 << (n - 1));
-    const int hi = (1 << (n - 1)) - 1;
-    if (v >= lo && v <= hi) return n;
-  }
-  return 16;
+// Two's-complement bits of a wide (chroma) coefficient; 0 and -1 need 1.
+int signed_bits(int v) {
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(v < 0 ? ~v : v))) + 1;
 }
 
 // Band cost of one wide-valued (chroma) plane under the same per-sub-band-
@@ -46,7 +43,7 @@ std::size_t chroma_band_bits(const image::Image<std::int16_t>& plane, std::size_
         if (std::abs(v) < threshold) v = 0;
         if (v != 0) {
           ++nonzero;
-          nbits = std::max(nbits, min_bits_wide(v));
+          nbits = std::max(nbits, signed_bits(v));
         }
       }
       return nonzero * static_cast<std::size_t>(nbits);

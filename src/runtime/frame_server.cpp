@@ -102,7 +102,7 @@ SubmitReceipt FrameServer::submit_frame(std::uint32_t stream_id, image::ImageU8 
   check_frame(*ctx, frame);
 
   const auto submitted_at = std::chrono::steady_clock::now();
-  const std::uint64_t seq = ctx->note_submitted();
+  const std::uint64_t seq = note_submitted(*ctx);
 
   auto payload = std::make_shared<image::ImageU8>(std::move(frame));
   auto job = [this, ctx, payload, submitted_at, seq, on_done = std::move(on_done)] {
@@ -132,7 +132,7 @@ SubmitReceipt FrameServer::submit_frame(std::uint32_t stream_id, image::ImageU8 
   // A refused frame never runs: its payload goes back to the arena here, so
   // an acquired buffer is reused instead of being lost to the freelist.
   pool_.arena().recycle(std::move(*payload).release());
-  ctx->note_submit_failed();
+  note_submit_failed(*ctx);
   receipt.error =
       outcome == SubmitOutcome::QueueFull ? SubmitError::QueueFull : SubmitError::ShuttingDown;
   return receipt;
@@ -151,7 +151,7 @@ FrameResult FrameServer::submit_striped(std::uint32_t stream_id, const image::Im
   }
 
   const auto submitted_at = std::chrono::steady_clock::now();
-  const std::uint64_t seq = ctx->note_submitted();
+  const std::uint64_t seq = note_submitted(*ctx);
 
   auto run = run_compressed_striped(ctx->config().engine, frame, max_stripes, &pool_);
   const std::uint64_t latency = elapsed_ns(submitted_at);
@@ -166,10 +166,25 @@ FrameResult FrameServer::submit_striped(std::uint32_t stream_id, const image::Im
   return result;
 }
 
+std::uint64_t FrameServer::note_submitted(StreamContext& ctx) {
+  const std::uint64_t seq = ctx.note_submitted();
+  swc::MutexLock lock(totals_mutex_);
+  ++frames_submitted_;
+  return seq;
+}
+
+void FrameServer::note_submit_failed(StreamContext& ctx) {
+  ctx.note_submit_failed();
+  swc::MutexLock lock(totals_mutex_);
+  --frames_submitted_;
+  ++frames_rejected_;
+}
+
 void FrameServer::note_completed(StreamContext& ctx, const core::RunStats& stats,
                                  std::size_t pixels, std::uint64_t latency_ns) {
   ctx.note_completed(stats, pixels, latency_ns);
   swc::MutexLock lock(totals_mutex_);
+  ++frames_completed_;
   totals_.merge(stats.metrics);
 }
 
@@ -192,13 +207,11 @@ RuntimeStatsSnapshot FrameServer::stats() const {
       if (slot.ctx != nullptr) snap.streams.push_back(slot.ctx->snapshot());
     }
   }
-  for (const auto& s : snap.streams) {
-    snap.frames_submitted += s.frames_submitted;
-    snap.frames_completed += s.frames_completed;
-    snap.frames_rejected += s.frames_rejected;
-  }
   {
     swc::MutexLock lock(totals_mutex_);
+    snap.frames_submitted = frames_submitted_;
+    snap.frames_completed = frames_completed_;
+    snap.frames_rejected = frames_rejected_;
     snap.metrics = totals_;
   }
   // Fold the dispatch layer's own counters in so runtime.* metrics travel

@@ -91,9 +91,9 @@ class FrameServer {
   // Retires a stream: its slot is freed for reuse and subsequent submissions
   // to the id fail with SubmitError::UnknownStream. Frames already in flight
   // finish normally (workers hold their own reference to the context) and
-  // fold into stats().metrics as usual, but the per-stream snapshot leaves
-  // stats().streams at once. Returns false when the id is unknown or
-  // already closed. Thread-safe.
+  // fold into stats().metrics and its frame counts as usual, but the
+  // per-stream snapshot leaves stats().streams at once. Returns false when
+  // the id is unknown or already closed. Thread-safe.
   bool close_stream(std::uint32_t stream_id);
 
   // Enqueue one frame. Returns false when rejected (Reject policy with a
@@ -155,7 +155,10 @@ class FrameServer {
 
   // Empty slot when the id is out of range or has been closed.
   [[nodiscard]] Slot find_stream(std::uint32_t id) const SWC_EXCLUDES(streams_mutex_);
-  // Books a completed frame on its stream and in the server-wide totals.
+  // Book a frame's submission, refusal and completion on its stream and in
+  // the server-wide totals.
+  std::uint64_t note_submitted(StreamContext& ctx) SWC_EXCLUDES(totals_mutex_);
+  void note_submit_failed(StreamContext& ctx) SWC_EXCLUDES(totals_mutex_);
   void note_completed(StreamContext& ctx, const core::RunStats& stats, std::size_t pixels,
                       std::uint64_t latency_ns) SWC_EXCLUDES(totals_mutex_);
 
@@ -163,8 +166,13 @@ class FrameServer {
   std::chrono::steady_clock::time_point start_;
 
   mutable swc::Mutex totals_mutex_;
-  // engine.* metrics of every completed frame since start, so stats().metrics
-  // never goes backwards when a stream closes.
+  // Frame counts and engine.* metrics of every frame since start, so
+  // stats() never goes backwards when a stream closes. Counted here, not
+  // summed over streams at stats() time: a strand token can still complete
+  // a frame of a stream after close_stream().
+  std::uint64_t frames_submitted_ SWC_GUARDED_BY(totals_mutex_) = 0;
+  std::uint64_t frames_completed_ SWC_GUARDED_BY(totals_mutex_) = 0;
+  std::uint64_t frames_rejected_ SWC_GUARDED_BY(totals_mutex_) = 0;
   telemetry::Snapshot totals_ SWC_GUARDED_BY(totals_mutex_);
 
   mutable swc::Mutex streams_mutex_;

@@ -119,6 +119,7 @@ struct StreamStatsSnapshot {
 // Point-in-time view of the whole server.
 struct RuntimeStatsSnapshot {
   std::size_t workers = 0;
+  // Every frame since server start, closed streams included.
   std::uint64_t frames_submitted = 0;
   std::uint64_t frames_completed = 0;
   std::uint64_t frames_rejected = 0;

@@ -15,8 +15,8 @@
 //    form a' = a +/- f(b) are invertible in Z/256Z, so even wrapped
 //    coefficients reconstruct exactly at threshold 0. This is the key fact
 //    that makes the paper's 8-bit datapath lossless.
-//  * Wide: coefficients kept in int (no wrap); used as a reference model and
-//    for the multi-level ablation where ranges grow.
+//  * Wide: coefficients kept in int (no wrap); the reference model, and the
+//    colour front-end's transform for 9-bit RCT chroma (core/color.cpp).
 
 #include <cstdint>
 #include <utility>

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,6 +25,65 @@ std::vector<std::uint8_t> make_band(std::size_t n, std::size_t w, std::uint64_t 
   return {img.pixels().begin(), img.pixels().end()};
 }
 
+// Calls fn(codec, label) for every granularity x NBits policy x threshold_ll
+// cell at each threshold in `thresholds`.
+template <typename Fn>
+void for_each_codec(std::initializer_list<int> thresholds, Fn&& fn) {
+  for (const auto granularity :
+       {bitpack::NBitsGranularity::PerSubBandColumn, bitpack::NBitsGranularity::PerColumn,
+        bitpack::NBitsGranularity::PerCoefficient}) {
+    for (const auto policy :
+         {bitpack::NBitsPolicy::PostThreshold, bitpack::NBitsPolicy::PreThreshold}) {
+      for (const bool threshold_ll : {true, false}) {
+        for (const int t : thresholds) {
+          bitpack::ColumnCodecConfig codec;
+          codec.threshold = t;
+          codec.granularity = granularity;
+          codec.nbits_policy = policy;
+          codec.threshold_ll = threshold_ll;
+          const auto label = "granularity=" + std::to_string(static_cast<int>(granularity)) +
+                             " policy=" + std::to_string(static_cast<int>(policy)) +
+                             " threshold_ll=" + std::to_string(threshold_ll) +
+                             " t=" + std::to_string(t);
+          fn(codec, label);
+        }
+      }
+    }
+  }
+}
+
+// The legacy column path: packs each column with ColumnEncoder, books it
+// into `want` as a backend books a column, and returns what ColumnDecoder
+// unpacks from it.
+class PackUnpack {
+ public:
+  PackUnpack(std::size_t n, const bitpack::ColumnCodecConfig& codec) : n_(n), codec_(codec) {
+    want.reset(n);
+  }
+
+  std::vector<std::uint8_t> code(const std::vector<std::uint8_t>& column, bool is_even) {
+    encoder_.encode(column, codec_, is_even, enc_);
+    want.payload_bits += enc_.payload_bit_count;
+    want.management_bits += enc_.management_bits();
+    bitpack::for_each_payload_width(enc_, codec_, [&](std::size_t i, int width) {
+      want.stream_bits[i] += static_cast<std::size_t>(width);
+    });
+    ++want.columns;
+    std::vector<std::uint8_t> decoded;
+    decoder_.decode(enc_, n_, codec_, decoded);
+    return decoded;
+  }
+
+  BandTranscodeStats want;
+
+ private:
+  std::size_t n_;
+  bitpack::ColumnCodecConfig codec_;
+  bitpack::ColumnEncoder encoder_;
+  bitpack::ColumnDecoder decoder_;
+  bitpack::EncodedColumn enc_;
+};
+
 // Runs one band through a backend and returns the reconstruction.
 std::vector<std::uint8_t> transcode(const CodecBackend& backend,
                                     const std::vector<std::uint8_t>& band, std::size_t n,
@@ -36,6 +96,95 @@ std::vector<std::uint8_t> transcode(const CodecBackend& backend,
   backend.transcode_band(band.data(), n, w, codec, *scratch, out.data(), metrics, stats);
   if (stats_out != nullptr) *stats_out = stats;
   return out;
+}
+
+// Transcodes `band` and expects the reference output bytes and every
+// BandTranscodeStats field.
+void expect_transcodes_to(const CodecBackend& backend, const std::vector<std::uint8_t>& band,
+                          std::size_t n, std::size_t w, const bitpack::ColumnCodecConfig& codec,
+                          const std::vector<std::uint8_t>& expected,
+                          const BandTranscodeStats& want, const std::string& label) {
+  BandTranscodeStats got_stats;
+  const auto got = transcode(backend, band, n, w, codec, &got_stats);
+  EXPECT_EQ(got, expected) << label;
+  EXPECT_EQ(got_stats.payload_bits, want.payload_bits) << label;
+  EXPECT_EQ(got_stats.management_bits, want.management_bits) << label;
+  EXPECT_EQ(got_stats.columns, want.columns) << label;
+  EXPECT_EQ(got_stats.stream_bits, want.stream_bits) << label;
+}
+
+// Plain-loop wrap-8 LeGall 5/3 lifting, the reference for the legall53
+// backend:
+//   d[i] = x[2i+1] - floor((x[2i] + x[2i+2]) / 2)        (predict)
+//   s[i] = x[2i]   + floor((d[i-1] + d[i] + 2) / 4)      (update)
+// with symmetric extension (x[2m] = x[2m-2], d[-1] = d[0]) and every result
+// wrapped to a byte. Details enter the update as int8. The predict reads the
+// even samples as int8 when `signed_lane` is set: the vertical pass of a
+// horizontal-detail column, whose bytes are two's-complement.
+int lane(std::uint8_t v, bool signed_lane) {
+  return signed_lane ? static_cast<std::int8_t>(v) : v;
+}
+
+std::uint8_t wrap8(int v) { return static_cast<std::uint8_t>(v & 0xFF); }
+
+// Lifts the 2m samples p[0], p[stride], ... in place into [s | d].
+void lift53_forward(std::uint8_t* p, std::size_t stride, std::size_t m, bool signed_lane) {
+  const auto x = [&](std::size_t k) -> std::uint8_t& { return p[k * stride]; };
+  std::vector<std::uint8_t> s(m), d(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t next = i + 1 < m ? i + 1 : i;
+    d[i] = wrap8(x(2 * i + 1) -
+                 ((lane(x(2 * i), signed_lane) + lane(x(2 * next), signed_lane)) >> 1));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t prev = i == 0 ? 0 : i - 1;
+    s[i] = wrap8(x(2 * i) + ((lane(d[prev], true) + lane(d[i], true) + 2) >> 2));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    x(i) = s[i];
+    x(m + i) = d[i];
+  }
+}
+
+// Exact inverse of lift53_forward.
+void lift53_inverse(std::uint8_t* p, std::size_t stride, std::size_t m, bool signed_lane) {
+  const auto y = [&](std::size_t k) { return p[k * stride]; };
+  std::vector<std::uint8_t> x(2 * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t prev = i == 0 ? 0 : i - 1;
+    x[2 * i] = wrap8(y(i) - ((lane(y(m + prev), true) + lane(y(m + i), true) + 2) >> 2));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t next = i + 1 < m ? i + 1 : i;
+    x[2 * i + 1] =
+        wrap8(y(m + i) + ((lane(x[2 * i], signed_lane) + lane(x[2 * next], signed_lane)) >> 1));
+  }
+  for (std::size_t k = 0; k < 2 * m; ++k) p[k * stride] = x[k];
+}
+
+// Levels recurse on the LL region while both sides stay even, up to 3.
+int loop53_levels(std::size_t n, std::size_t w) {
+  int levels = 0;
+  for (; levels < 3; ++levels) {
+    const std::size_t cn = n >> levels;
+    const std::size_t cw = w >> levels;
+    if (cn < 2 || cw < 2 || cn % 2 != 0 || cw % 2 != 0) break;
+  }
+  return levels;
+}
+
+// One level over the top-left cn x cw region of an n x w band: every row,
+// then every column. The row pass leaves each row as [low-pass | detail].
+void loop53_forward_level(std::vector<std::uint8_t>& band, std::size_t w, std::size_t cn,
+                            std::size_t cw) {
+  for (std::size_t y = 0; y < cn; ++y) lift53_forward(&band[y * w], 1, cw / 2, false);
+  for (std::size_t x = 0; x < cw; ++x) lift53_forward(&band[x], w, cn / 2, x >= cw / 2);
+}
+
+void loop53_inverse_level(std::vector<std::uint8_t>& band, std::size_t w, std::size_t cn,
+                            std::size_t cw) {
+  for (std::size_t x = 0; x < cw; ++x) lift53_inverse(&band[x], w, cn / 2, x >= cw / 2);
+  for (std::size_t y = 0; y < cn; ++y) lift53_inverse(&band[y * w], 1, cw / 2, false);
 }
 
 // FNV-1a over bytes; 64-bit words are folded in little-endian byte order.
@@ -63,29 +212,17 @@ std::pair<std::uint64_t, std::uint64_t> lossy_digests(const CodecBackend& backen
                                                       int threshold) {
   const auto scratch = backend.make_scratch();
   Digest output, accounting;
-  for (const auto granularity :
-       {bitpack::NBitsGranularity::PerSubBandColumn, bitpack::NBitsGranularity::PerColumn,
-        bitpack::NBitsGranularity::PerCoefficient}) {
-    for (const auto policy :
-         {bitpack::NBitsPolicy::PostThreshold, bitpack::NBitsPolicy::PreThreshold}) {
-      for (const bool threshold_ll : {true, false}) {
-        bitpack::ColumnCodecConfig codec;
-        codec.threshold = threshold;
-        codec.granularity = granularity;
-        codec.nbits_policy = policy;
-        codec.threshold_ll = threshold_ll;
-        std::vector<std::uint8_t> out(band.size());
-        telemetry::Snapshot metrics;
-        BandTranscodeStats stats;
-        backend.transcode_band(band.data(), n, w, codec, *scratch, out.data(), metrics, stats);
-        output.bytes(out);
-        accounting.word(stats.payload_bits);
-        accounting.word(stats.management_bits);
-        accounting.word(stats.columns);
-        for (const auto bits : stats.stream_bits) accounting.word(bits);
-      }
-    }
-  }
+  for_each_codec({threshold}, [&](const bitpack::ColumnCodecConfig& codec, const std::string&) {
+    std::vector<std::uint8_t> out(band.size());
+    telemetry::Snapshot metrics;
+    BandTranscodeStats stats;
+    backend.transcode_band(band.data(), n, w, codec, *scratch, out.data(), metrics, stats);
+    output.bytes(out);
+    accounting.word(stats.payload_bits);
+    accounting.word(stats.management_bits);
+    accounting.word(stats.columns);
+    for (const auto bits : stats.stream_bits) accounting.word(bits);
+  });
   return {output.value(), accounting.value()};
 }
 
@@ -130,67 +267,63 @@ TEST(BackendRegistry, HaarBackendMatchesInlineLegacyPipeline) {
   const std::size_t n = 8;
   const std::size_t w = 64;
   const auto backend = BackendRegistry::make("haar");
-  for (const auto granularity :
-       {bitpack::NBitsGranularity::PerSubBandColumn, bitpack::NBitsGranularity::PerColumn,
-        bitpack::NBitsGranularity::PerCoefficient}) {
-    for (const auto policy :
-         {bitpack::NBitsPolicy::PostThreshold, bitpack::NBitsPolicy::PreThreshold}) {
-      for (const bool threshold_ll : {true, false}) {
-        for (const int t : {0, 2, 5}) {
-          bitpack::ColumnCodecConfig codec;
-          codec.threshold = t;
-          codec.granularity = granularity;
-          codec.nbits_policy = policy;
-          codec.threshold_ll = threshold_ll;
-          const auto band = make_band(n, w, 17 + static_cast<std::uint64_t>(t));
+  for_each_codec({0, 2, 5}, [&](const bitpack::ColumnCodecConfig& codec,
+                                const std::string& label) {
+    const auto band = make_band(n, w, 17 + static_cast<std::uint64_t>(codec.threshold));
 
-          // Inline pipeline: decompose -> pack + unpack per column -> recompose.
-          wavelet::BandPlanes fwd, dec;
-          wavelet::BandScratch scratch;
-          wavelet::decompose_band_into(band.data(), n, w, fwd, scratch);
-          dec.resize(n / 2, w / 2);
-          bitpack::ColumnEncoder encoder;
-          bitpack::ColumnDecoder decoder;
-          bitpack::EncodedColumn enc;
-          BandTranscodeStats want;
-          want.reset(n);
-          const auto account = [&] {
-            want.payload_bits += enc.payload_bit_count;
-            want.management_bits += enc.management_bits();
-            bitpack::for_each_payload_width(enc, codec, [&](std::size_t i, int width) {
-              want.stream_bits[i] += static_cast<std::size_t>(width);
-            });
-            ++want.columns;
-          };
-          std::vector<std::uint8_t> even(n), odd(n), col;
-          for (std::size_t j = 0; j < w / 2; ++j) {
-            wavelet::gather_column_pair(fwd, j, even.data(), odd.data());
-            encoder.encode(even, codec, true, enc);
-            account();
-            decoder.decode(enc, n, codec, col);
-            std::copy(col.begin(), col.end(), even.begin());
-            encoder.encode(odd, codec, false, enc);
-            account();
-            decoder.decode(enc, n, codec, col);
-            wavelet::scatter_column_pair(dec, j, even.data(), col.data());
-          }
-          std::vector<std::uint8_t> expected(band.size());
-          wavelet::recompose_band_into(dec, n, w, expected.data(), scratch);
-
-          BandTranscodeStats got_stats;
-          const auto got = transcode(*backend, band, n, w, codec, &got_stats);
-          const auto label = "granularity=" + std::to_string(static_cast<int>(granularity)) +
-                             " policy=" + std::to_string(static_cast<int>(policy)) +
-                             " threshold_ll=" + std::to_string(threshold_ll) +
-                             " t=" + std::to_string(t);
-          EXPECT_EQ(got, expected) << label;
-          EXPECT_EQ(got_stats.payload_bits, want.payload_bits) << label;
-          EXPECT_EQ(got_stats.management_bits, want.management_bits) << label;
-          EXPECT_EQ(got_stats.columns, want.columns) << label;
-          EXPECT_EQ(got_stats.stream_bits, want.stream_bits) << label;
-        }
-      }
+    // Inline pipeline: decompose -> pack + unpack per column -> recompose.
+    wavelet::BandPlanes fwd, dec;
+    wavelet::BandScratch scratch;
+    wavelet::decompose_band_into(band.data(), n, w, fwd, scratch);
+    dec.resize(n / 2, w / 2);
+    PackUnpack packer(n, codec);
+    std::vector<std::uint8_t> even(n), odd(n);
+    for (std::size_t j = 0; j < w / 2; ++j) {
+      wavelet::gather_column_pair(fwd, j, even.data(), odd.data());
+      even = packer.code(even, true);
+      odd = packer.code(odd, false);
+      wavelet::scatter_column_pair(dec, j, even.data(), odd.data());
     }
+    std::vector<std::uint8_t> expected(band.size());
+    wavelet::recompose_band_into(dec, n, w, expected.data(), scratch);
+
+    expect_transcodes_to(*backend, band, n, w, codec, expected, packer.want, label);
+  });
+}
+
+TEST(BackendRegistry, Legall53BackendMatchesInlineLoopReference) {
+  // Differential gate for the legall53 backend: its batched lifting, column
+  // step and inverse must match the plain-loop 5/3 above, each column packed
+  // and unpacked by ColumnEncoder/ColumnDecoder, at every codec cell. The
+  // 8 x 96 band takes the full 3 levels. The all-0/255 band puts negative
+  // and positive details side by side, where reading a detail byte as
+  // unsigned moves the vertical prediction by about 128.
+  const std::size_t n = 8;
+  const std::size_t w = 96;
+  const int levels = loop53_levels(n, w);
+  ASSERT_EQ(levels, 3);
+  const auto backend = BackendRegistry::make("legall53");
+  for (const bool extreme : {false, true}) {
+    const auto band = extreme ? make_extreme_band(n, w) : make_band(n, w, 23);
+    for_each_codec({0, 1, 2, 5}, [&](const bitpack::ColumnCodecConfig& codec,
+                                     const std::string& cell) {
+      auto coeffs = band;
+      for (int level = 0; level < levels; ++level) {
+        loop53_forward_level(coeffs, w, n >> level, w >> level);
+      }
+      PackUnpack packer(n, codec);
+      std::vector<std::uint8_t> column(n);
+      for (std::size_t x = 0; x < w; ++x) {
+        for (std::size_t y = 0; y < n; ++y) column[y] = coeffs[y * w + x];
+        column = packer.code(column, /*is_even=*/x < (w >> levels));
+        for (std::size_t y = 0; y < n; ++y) coeffs[y * w + x] = column[y];
+      }
+      for (int level = levels - 1; level >= 0; --level) {
+        loop53_inverse_level(coeffs, w, n >> level, w >> level);
+      }
+      expect_transcodes_to(*backend, band, n, w, codec, coeffs, packer.want,
+                           (extreme ? "extreme " : "natural ") + cell);
+    });
   }
 }
 
@@ -244,60 +377,60 @@ TEST(BackendRegistry, HaarStreamBitsPartitionPayloadAcrossGranularities) {
   }
 }
 
-TEST(BackendRegistry, LossyLegallAndMicroshiftMatchPinnedDigests) {
-  // legall53 and microshift have no inline lossy oracle. These digests were
-  // recorded from the implementation that unpacked every packed column with
-  // ColumnDecoder, so a change to either backend's output bytes or bit
-  // accounting at T > 0 shows here.
+TEST(BackendRegistry, LossyMicroshiftMatchesPinnedDigests) {
+  // microshift has no inline lossy oracle. These digests were recorded from
+  // the implementation that unpacked every packed column with ColumnDecoder,
+  // so a change to its output bytes or bit accounting at T > 0 shows here.
   struct Pinned {
-    const char* backend;
     bool extreme;
     int threshold;
     std::uint64_t output;
     std::uint64_t accounting;
   };
   static constexpr Pinned kPinned[] = {
-      {"legall53", false, 1, 0x7e6697bad1522f2dULL, 0x6111379a8d2ec71dULL},
-      {"legall53", false, 2, 0xe84683c76f3d7d95ULL, 0x845ac78431729e59ULL},
-      {"legall53", false, 5, 0xc02855bc6935418dULL, 0x5dce178dd3b0ce79ULL},
-      {"legall53", true, 1, 0x45775004a9461a0dULL, 0x5d85b9c0c677d52dULL},
-      {"legall53", true, 2, 0xa2bc977476a1762dULL, 0x1694b0cd1d2c5e5dULL},
-      {"legall53", true, 5, 0x7cff9c4e09faefc1ULL, 0xe6feb07ba5de3039ULL},
-      {"microshift", false, 1, 0xe929ca77ed7a2425ULL, 0xccf87660d24b035dULL},
-      {"microshift", false, 2, 0x54ad136c0f294725ULL, 0xf0acb71fb63110ddULL},
-      {"microshift", false, 5, 0x3278ae8a12a5c925ULL, 0xa9268de0802b2ad5ULL},
-      {"microshift", true, 1, 0x85770cc630ca2325ULL, 0x8ebd45b6c4c97b95ULL},
-      {"microshift", true, 2, 0x82ea772f5de0ff25ULL, 0x90429401c4a6a5e5ULL},
-      {"microshift", true, 5, 0xb94149b56a511b25ULL, 0x164a4e250f5fd61dULL},
+      {false, 1, 0xe929ca77ed7a2425ULL, 0xccf87660d24b035dULL},
+      {false, 2, 0x54ad136c0f294725ULL, 0xf0acb71fb63110ddULL},
+      {false, 5, 0x3278ae8a12a5c925ULL, 0xa9268de0802b2ad5ULL},
+      {true, 1, 0x85770cc630ca2325ULL, 0x8ebd45b6c4c97b95ULL},
+      {true, 2, 0x82ea772f5de0ff25ULL, 0x90429401c4a6a5e5ULL},
+      {true, 5, 0xb94149b56a511b25ULL, 0x164a4e250f5fd61dULL},
   };
   const std::size_t n = 8;
   const std::size_t w = 96;
   const auto natural = make_band(n, w, 23);
   const auto extreme = make_extreme_band(n, w);
+  const auto backend = BackendRegistry::make("microshift");
   for (const auto& pin : kPinned) {
-    const auto backend = BackendRegistry::make(pin.backend);
     const auto [output, accounting] =
         lossy_digests(*backend, pin.extreme ? extreme : natural, n, w, pin.threshold);
-    const auto label = std::string(pin.backend) + (pin.extreme ? " extreme" : " natural") +
-                       " t=" + std::to_string(pin.threshold);
+    const auto label =
+        std::string(pin.extreme ? "extreme" : "natural") + " t=" + std::to_string(pin.threshold);
     EXPECT_EQ(output, pin.output) << label;
     EXPECT_EQ(accounting, pin.accounting) << label;
   }
 }
 
 TEST(BackendRegistry, AllBackendsAreLosslessAtThresholdZero) {
-  const std::size_t n = 8;
-  const std::size_t w = 96;
-  const auto band = make_band(n, w, 99);
-  for (const auto& name : BackendRegistry::names()) {
-    const auto backend = BackendRegistry::make(name);
-    bitpack::ColumnCodecConfig codec;  // threshold 0 = lossless
-    BandTranscodeStats stats;
-    const auto out = transcode(*backend, band, n, w, codec, &stats);
-    EXPECT_EQ(out, band) << name << " is not lossless at T=0";
-    EXPECT_GT(stats.payload_bits + stats.management_bits, 0u) << name;
-    EXPECT_GT(stats.columns, 0u) << name;
-    EXPECT_EQ(stats.stream_bits.size(), n) << name;
+  // Natural and all-0/255 bands at sizes where legall53's level recursion
+  // stops at 1, 2, 3 and 3 levels (odd half-width, odd quarter-width, the
+  // cap at 8 rows, the cap with levels to spare).
+  const std::pair<std::size_t, std::size_t> kSizes[] = {{4, 6}, {8, 12}, {8, 96}, {16, 64}};
+  for (const auto& [n, w] : kSizes) {
+    for (const bool extreme : {false, true}) {
+      const auto band = extreme ? make_extreme_band(n, w) : make_band(n, w, 99);
+      for (const auto& name : BackendRegistry::names()) {
+        const auto backend = BackendRegistry::make(name);
+        bitpack::ColumnCodecConfig codec;  // threshold 0 = lossless
+        BandTranscodeStats stats;
+        const auto out = transcode(*backend, band, n, w, codec, &stats);
+        const auto label = name + " " + std::to_string(n) + "x" + std::to_string(w) +
+                           (extreme ? " extreme" : " natural");
+        EXPECT_EQ(out, band) << label << " is not lossless at T=0";
+        EXPECT_GT(stats.payload_bits + stats.management_bits, 0u) << label;
+        EXPECT_GT(stats.columns, 0u) << label;
+        EXPECT_EQ(stats.stream_bits.size(), n) << label;
+      }
+    }
   }
 }
 

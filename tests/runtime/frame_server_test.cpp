@@ -238,12 +238,18 @@ TEST(FrameServer, StatsKeepEngineTotalsOfClosedStreams) {
 
   const auto windows = core::EngineMetricIds::get().windows;
   const std::uint64_t expected = kFrames * (kWidth - kWindow + 1) * (kHeight - kWindow + 1);
-  EXPECT_EQ(server.stats().metrics.sum(windows), expected);
+  const auto open = server.stats();
+  EXPECT_EQ(open.metrics.sum(windows), expected);
+  EXPECT_EQ(open.frames_submitted, kFrames);
+  EXPECT_EQ(open.frames_completed, kFrames);
 
   ASSERT_TRUE(server.close_stream(id));
   const auto snap = server.stats();
   EXPECT_TRUE(snap.streams.empty());
   EXPECT_EQ(snap.metrics.sum(windows), expected);
+  EXPECT_EQ(snap.frames_submitted, kFrames);
+  EXPECT_EQ(snap.frames_completed, kFrames);
+  EXPECT_EQ(snap.frames_rejected, 0u);
 }
 
 TEST(FrameServer, ReentrantEngineProducesIdenticalResultsAcrossThreads) {
